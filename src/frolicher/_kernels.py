@@ -1,203 +1,82 @@
-"""Integer elimination kernels.
+"""The exact eliminator: fraction-free Gauss-Jordan over sparse integer rows.
 
-Fraction-free Gaussian elimination (Bareiss) for ranks and the full-reduction
-variant (Montante) for scaled reduced echelon forms, from which integer kernel
-bases are read off.  Intermediate entries of both algorithms are minors of the
-input matrix, so exact integer division by the previous pivot never truncates.
+A row is a dict from column index to a nonzero entry.  Input rows (of int
+and ``fractions.Fraction`` entries) have their denominators cleared row by
+row and are inserted one at a time.  Each new row is first reduced
+against the pivot rows it is nonzero in; what is left, if anything, becomes a
+pivot row at its leading column and is cleared from the earlier pivot rows
+that are nonzero in that column.  Every combination ``a*row - b*pivot`` uses
+the pivot entry and the entry to clear divided by their gcd, and each new row
+is divided by the gcd of its entries, so integers stay as small as the
+reduced form allows.
 
-Two implementations of each routine exist:
-
-* an ``int64`` version written against numpy arrays, JIT-compiled with numba
-  unless the environment variable ``FROLICHER_JIT=0`` is set (or numba is not
-  importable), in which case the very same function runs as plain numpy code;
-* an arbitrary-precision twin over Python lists of ints, used whenever the
-  machine-width version reports that an entry reached the overflow guard.
-
-The ``int64`` kernels never return a wrong answer: before every elimination
-round they scan the entries they are about to multiply and bail out with -1
-if any magnitude has reached ``GUARD`` (products of two sub-GUARD entries fit
-in a signed 64-bit difference).  Callers escalate to the big-int twin, which
-chooses pivots identically, so both paths produce the same numbers.
+Pivot rows are zero in each other's pivot columns and each one starts at its
+pivot column, so they are the reduced row echelon form of the input up to one
+positive scale per row.  That form is unique: the output does not depend on
+the order of the input rows.
 """
 
-import os
-
-import numpy as np
-
-# Entries must stay strictly below GUARD for p*b - f*a to fit in int64.
-GUARD = 1 << 31
-
-JIT_ENABLED = os.environ.get("FROLICHER_JIT", "1") not in ("0", "false", "no")
+from math import gcd, lcm
 
 
-def _rank_i64(m):
-    """Rank of ``m`` by Bareiss elimination; -1 if the guard trips.
+def _primitive(row):
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
-    ``m`` is a C-contiguous int64 matrix and is destroyed.  Pivots are the
-    first nonzero entry of each column, scanning columns left to right.
+
+def _integer_row(row):
+    """``row`` with its denominators cleared, as a primitive integer dict."""
+    if not all(type(x) is int for x in row.values()):
+        mult = lcm(*(x.denominator for x in row.values()))
+        row = {j: int(x * mult) for j, x in row.items()}
+    return _primitive(row)
+
+
+def _clear(row, col, pivot):
+    """Primitive ``a*row - b*pivot`` with the entry at ``col`` cancelled."""
+    p = pivot[col]
+    f = row[col]
+    g = gcd(p, f)
+    a = p // g
+    b = f // g
+    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+    for j, x in pivot.items():
+        v = out.get(j, 0) - b * x
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _primitive(out) if out else out
+
+
+def eliminate(rows):
+    """Reduced echelon form of ``rows``; returns ``(pivots, reduced)``.
+
+    Each input row is a non-empty dict from column index to a nonzero int
+    or ``Fraction``; the input is not modified.
+
+    ``pivots`` lists the pivot columns in increasing order and
+    ``reduced[i]`` is the pivot row of ``pivots[i]``: a primitive integer
+    dict with a positive entry at its pivot, zero in every other pivot
+    column and in every column left of its pivot.
     """
-    rows, cols = m.shape
-    rank = 0
-    prev = np.int64(1)
-    guard = np.int64(GUARD)
-    for col in range(cols):
-        if rank == rows:
-            break
-        piv = -1
-        for i in range(rank, rows):
-            if m[i, col] != 0:
-                piv = i
-                break
-        if piv < 0:
+    pivot_rows = {}
+    for raw in rows:
+        row = _integer_row(raw)
+        for col in [c for c in row if c in pivot_rows]:
+            row = _clear(row, col, pivot_rows[col])
+        if not row:
             continue
-        for i in range(rank, rows):
-            for j in range(col, cols):
-                v = m[i, j]
-                if v >= guard or v <= -guard:
-                    return -1
-        if piv != rank:
-            for j in range(cols):
-                t = m[rank, j]
-                m[rank, j] = m[piv, j]
-                m[piv, j] = t
-        p = m[rank, col]
-        # Rows with a zero entry in the pivot column still get rescaled by
-        # p/prev: Sylvester's identity needs every active entry to stay the
-        # corresponding minor, or later exact divisions stop being exact.
-        for i in range(rank + 1, rows):
-            f = m[i, col]
-            for j in range(col + 1, cols):
-                m[i, j] = (p * m[i, j] - f * m[rank, j]) // prev
-            m[i, col] = 0
-        prev = p
-        rank += 1
-    return rank
+        col = min(row)
+        if row[col] < 0:
+            row = {j: -x for j, x in row.items()}
+        for c, other in pivot_rows.items():
+            if col in other:
+                pivot_rows[c] = _clear(other, col, row)
+        pivot_rows[col] = row
+    pivots = sorted(pivot_rows)
+    return pivots, [pivot_rows[c] for c in pivots]
 
 
-def _rref_i64(m, pivcols):
-    """Montante full reduction of ``m`` in place; returns rank or -1.
-
-    On success every pivot entry equals the last pivot value delta (found at
-    ``m[rank-1, pivcols[rank-1]]``), all other entries of pivot columns are
-    zero, and rows ``rank:`` are zero, i.e. ``m == delta * rref(m)``.
-    ``pivcols`` is an int64 scratch vector of length >= cols.
-    """
-    rows, cols = m.shape
-    rank = 0
-    prev = np.int64(1)
-    guard = np.int64(GUARD)
-    for col in range(cols):
-        if rank == rows:
-            break
-        piv = -1
-        for i in range(rank, rows):
-            if m[i, col] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        # Full-matrix scan: earlier pivot rows are rewritten every round too.
-        for i in range(rows):
-            for j in range(cols):
-                v = m[i, j]
-                if v >= guard or v <= -guard:
-                    return -1
-        if piv != rank:
-            for j in range(cols):
-                t = m[rank, j]
-                m[rank, j] = m[piv, j]
-                m[piv, j] = t
-        p = m[rank, col]
-        for i in range(rows):
-            if i == rank:
-                continue
-            f = m[i, col]
-            for j in range(cols):
-                if j != col:
-                    m[i, j] = (p * m[i, j] - f * m[rank, j]) // prev
-            m[i, col] = 0
-        prev = p
-        pivcols[rank] = col
-        rank += 1
-    return rank
-
-
-if JIT_ENABLED:
-    try:
-        from numba import njit
-
-        rank_i64 = njit("int64(int64[:, ::1])", cache=True)(_rank_i64)
-        rref_i64 = njit("int64(int64[:, ::1], int64[::1])", cache=True)(_rref_i64)
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        rank_i64 = _rank_i64
-        rref_i64 = _rref_i64
-else:
-    rank_i64 = _rank_i64
-    rref_i64 = _rref_i64
-
-
-def rank_big(m):
-    """Rank of a list-of-lists integer matrix, arbitrary precision."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        if rank == rows:
-            break
-        piv = -1
-        for i in range(rank, rows):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        mr = m[rank]
-        p = mr[col]
-        for i in range(rank + 1, rows):
-            mi = m[i]
-            f = mi[col]
-            for j in range(col + 1, cols):
-                mi[j] = (p * mi[j] - f * mr[j]) // prev
-            mi[col] = 0
-        prev = p
-        rank += 1
-    return rank
-
-
-def rref_big(m):
-    """Montante full reduction over Python ints; returns (rank, pivcols)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    prev = 1
-    pivcols = []
-    for col in range(cols):
-        if rank == rows:
-            break
-        piv = -1
-        for i in range(rank, rows):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        mr = m[rank]
-        p = mr[col]
-        for i in range(rows):
-            if i == rank:
-                continue
-            mi = m[i]
-            f = mi[col]
-            for j in range(cols):
-                if j != col:
-                    mi[j] = (p * mi[j] - f * mr[j]) // prev
-            mi[col] = 0
-        prev = p
-        pivcols.append(col)
-        rank += 1
-    return rank, pivcols
+# perfbench/run.py reports kernel_backend "interpreted" when these are one object.
+rank_i64 = _rank_i64 = eliminate

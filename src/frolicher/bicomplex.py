@@ -44,10 +44,11 @@ class DoubleComplex:
     """Candidate double complex; run :func:`validate` to check the axioms.
 
     ``dims`` is indexable as ``dims[p, q]``; ``d_horiz`` / ``d_vert`` map
-    ``(p, q)`` to matrices.  Construction accepts arbitrary matrix data so
-    that validation can report problems instead of refusing to represent
-    them; redundant matrices (all zero, or of the correct shape touching a
-    zero-dimensional spot) are normalized away.
+    ``(p, q)`` to matrices of int/Fraction, each stored as a frozen copy.
+    Construction accepts matrices of any shape so that validation can report
+    problems instead of refusing to represent them; redundant matrices (all
+    zero, or of the correct shape touching a zero-dimensional spot) are
+    normalized away.
     """
 
     __slots__ = ("p_max", "q_max", "dims", "_dh", "_dv", "_report")
@@ -76,6 +77,9 @@ class DoubleComplex:
             m = np.asarray(m)
             if m.ndim != 2:
                 raise ValueError(f"map at ({p},{q}) is not a matrix")
+            # A frozen copy: the caller's array must not reach the value.
+            m = linalg.from_rows(*m.shape, m.tolist())
+            m.flags.writeable = False
             tgt = (p + 1, q) if horiz else (p, q + 1)
             expected = (self.dim(*tgt), self.dim(p, q))
             in_range = (0 <= p <= self.p_max and 0 <= q <= self.q_max
@@ -189,8 +193,8 @@ def validate(K):
         if (p + 1 <= K.p_max and q + 1 <= K.q_max
                 and ok("horiz", p, q) and ok("vert", p + 1, q)
                 and ok("vert", p, q) and ok("horiz", p, q + 1)):
-            anti = (linalg.mat_mul(K.dv(p + 1, q), K.dh(p, q)).astype(object)
-                    + linalg.mat_mul(K.dh(p, q + 1), K.dv(p, q)).astype(object))
+            anti = (linalg.mat_mul(K.dv(p + 1, q), K.dh(p, q))
+                    + linalg.mat_mul(K.dh(p, q + 1), K.dv(p, q)))
             if not linalg.is_zero(anti):
                 out.append(Violation(p, q, "anticommute",
                                      "d_h d_v + d_v d_h is nonzero"))

@@ -1,28 +1,19 @@
 """Exact linear algebra over the rationals, numpy-backed.
 
-Matrices are 2-D numpy arrays treated as immutable values.  Small integer
-matrices live in dtype ``int64`` so the hot elimination kernels can run on
-them directly; everything else (big integers, genuine fractions) lives in
-dtype ``object`` holding Python ints and ``fractions.Fraction``.  All results
-are exact: the int64 path is guarded against overflow and escalates to
-arbitrary precision, and rank/kernel computations clear denominators row by
-row, which changes neither the row space rank nor the kernel.
+Matrices are 2-D numpy arrays of dtype ``object`` holding Python ints and
+``fractions.Fraction``, treated as immutable values.  There is one
+representation and one eliminator (:func:`._kernels.eliminate`): ranks and
+kernels are read off the same fraction-free reduced echelon form, so every
+result is exact and no integer can overflow.
 """
 
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import gcd, lcm
 
 import numpy as np
 
-from . import _kernels
-
-# Keep stored int64 magnitudes below the kernel guard so a freshly built
-# matrix can always be handed to the fast path without rescanning.
-_I64_STORE = _kernels.GUARD
-
-
-def _fits_i64(value):
-    return -_I64_STORE < value < _I64_STORE
+from ._kernels import eliminate
 
 
 def from_rows(rows, cols, entries):
@@ -30,8 +21,6 @@ def from_rows(rows, cols, entries):
     data = [[_coerce(x) for x in row] for row in entries]
     if len(data) != rows or any(len(r) != cols for r in data):
         raise ValueError("entry grid does not match the declared shape")
-    if all(isinstance(x, int) and _fits_i64(x) for r in data for x in r):
-        return np.array(data, dtype=np.int64).reshape(rows, cols)
     return np.array(data, dtype=object).reshape(rows, cols)
 
 
@@ -44,11 +33,11 @@ def _coerce(x):
 
 
 def zeros(rows, cols):
-    return np.zeros((rows, cols), dtype=np.int64)
+    return np.zeros((rows, cols), dtype=object)
 
 
 def identity(n):
-    return np.eye(n, dtype=np.int64)
+    return np.eye(n, dtype=object)
 
 
 def transpose(a):
@@ -64,71 +53,30 @@ def mat_eq(a, b):
 
 
 def mat_mul(a, b):
-    """Exact product; stays in int64 only when no overflow is possible."""
+    """Exact product."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
         return zeros(a.shape[0], b.shape[1])
-    if a.dtype == np.int64 and b.dtype == np.int64:
-        ma = int(np.abs(a).max())
-        mb = int(np.abs(b).max())
-        if a.shape[1] * ma * mb < (1 << 62):
-            c = a @ b
-            if int(np.abs(c).max()) < _I64_STORE:
-                return c
-            return c.astype(object)
-    return np.dot(_as_object(a), _as_object(b))
-
-
-def _as_object(a):
-    if a.dtype == object:
-        return a
-    out = np.empty(a.shape, dtype=object)
-    if a.size:
-        out[...] = a.tolist()
-    return out
+    return np.dot(a, b)
 
 
 def hstack(mats):
-    mats = list(mats)
-    if not mats:
-        raise ValueError("hstack of nothing")
-    if any(m.dtype == object for m in mats):
-        mats = [_as_object(m) for m in mats]
     return np.hstack(mats)
 
 
 def vstack(mats):
-    mats = list(mats)
-    if not mats:
-        raise ValueError("vstack of nothing")
-    if any(m.dtype == object for m in mats):
-        mats = [_as_object(m) for m in mats]
     return np.vstack(mats)
-
-
-def block_diag(a, b):
-    out = assemble([a.shape[0], b.shape[0]], [a.shape[1], b.shape[1]],
-                   {(0, 0): a, (1, 1): b})
-    return out
 
 
 def assemble(row_dims, col_dims, blocks):
     """Block matrix from ``blocks[(i, j)]``; missing blocks are zero.
 
-    ``row_dims`` / ``col_dims`` are the block partition sizes.  The result is
-    int64 when every block is, object otherwise.
+    ``row_dims`` / ``col_dims`` are the block partition sizes.
     """
-    total_r = sum(row_dims)
-    total_c = sum(col_dims)
-    dtype = np.int64
-    for blk in blocks.values():
-        if blk.dtype == object:
-            dtype = object
-            break
-    out = np.zeros((total_r, total_c), dtype=dtype)
-    roff = np.concatenate(([0], np.cumsum(row_dims)))
-    coff = np.concatenate(([0], np.cumsum(col_dims)))
+    out = zeros(sum(row_dims), sum(col_dims))
+    roff = [0, *accumulate(row_dims)]
+    coff = [0, *accumulate(col_dims)]
     for (i, j), blk in blocks.items():
         if blk.shape != (row_dims[i], col_dims[j]):
             raise ValueError(f"block {(i, j)} has shape {blk.shape}, "
@@ -138,93 +86,47 @@ def assemble(row_dims, col_dims, blocks):
     return out
 
 
-def _int_rows(a):
-    """Rows of ``a`` with denominators cleared, as Python int lists."""
-    rows = a.tolist()
-    out = []
-    for row in rows:
-        denoms = [x.denominator for x in row if isinstance(x, Fraction)]
-        if denoms:
-            mult = lcm(*denoms)
-            row = [int(x * mult) if isinstance(x, Fraction) else int(x) * mult
-                   for x in row]
-        else:
-            row = [int(x) for x in row]
-        out.append(row)
-    return out
+def _rows(a):
+    """The nonzero rows of ``a`` as dicts from column index to entry."""
+    rows = {}
+    if a.size:
+        ii, jj = a.nonzero()
+        for i, j, x in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
+            rows.setdefault(i, {})[j] = x
+    return rows.values()
 
 
 def rank(a):
-    """Exact rank of an int64 or object (int/Fraction) matrix."""
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0
-    if a.dtype == np.int64:
-        r = int(_kernels.rank_i64(np.ascontiguousarray(a, dtype=np.int64).copy()))
-        if r >= 0:
-            return r
-        return _kernels.rank_big(a.tolist())
-    rows = _int_rows(a)
-    if all(_fits_i64(x) for row in rows for x in row):
-        m = np.array(rows, dtype=np.int64)
-        r = int(_kernels.rank_i64(np.ascontiguousarray(m)))
-        if r >= 0:
-            return r
-    return _kernels.rank_big(rows)
+    """Exact rank: the number of pivots of the reduced echelon form."""
+    return len(eliminate(_rows(a))[0])
 
 
 def nullspace(a):
     """Matrix whose columns span ker(a); exact, deterministic.
 
-    The basis is the standard free-column basis of the reduced echelon form,
-    scaled by the final pivot so that all entries are integers.  Columns are
-    ordered by increasing free-column index.
+    One column per free (non-pivot) column ``f`` of the reduced echelon
+    form, ordered by increasing ``f``: the standard free-column kernel
+    vector, scaled to the primitive integer vector with a positive entry at
+    ``f``.
     """
     n = a.shape[1]
-    if n == 0:
-        return zeros(0, 0)
-    if a.shape[0] == 0:
-        return identity(n)
-    if a.dtype == np.int64:
-        res = _nullspace_i64(a)
-        if res is not None:
-            return res
-        rows = [[int(x) for x in row] for row in a.tolist()]
-    else:
-        rows = _int_rows(a)
-        if all(_fits_i64(x) for row in rows for x in row):
-            res = _nullspace_i64(np.array(rows, dtype=np.int64))
-            if res is not None:
-                return res
-    rk, pivcols = _kernels.rref_big(rows)
-    return _kernel_basis(rows, rk, pivcols, n)
-
-
-def _nullspace_i64(a):
-    m = np.ascontiguousarray(a, dtype=np.int64).copy()
-    pivcols = np.zeros(a.shape[1], dtype=np.int64)
-    rk = int(_kernels.rref_i64(m, pivcols))
-    if rk < 0:
-        return None
-    return _kernel_basis(m.tolist(), rk, [int(c) for c in pivcols[:rk]],
-                         a.shape[1])
-
-
-def _kernel_basis(m, rk, pivcols, n):
-    delta = m[rk - 1][pivcols[rk - 1]] if rk else 1
-    pivset = set(pivcols)
-    free = [j for j in range(n) if j not in pivset]
-    cols = []
-    for f in free:
+    pivots, reduced = eliminate(_rows(a))
+    pivset = set(pivots)
+    basis = []
+    for f in range(n):
+        if f in pivset:
+            continue
+        hits = [(c, row) for c, row in zip(pivots, reduced) if f in row]
+        scale = lcm(*(row[c] for c, row in hits))
         v = [0] * n
-        v[f] = delta
-        for t in range(rk):
-            v[pivcols[t]] = -m[t][f]
-        cols.append(v)
-    if not cols:
+        v[f] = scale
+        for c, row in hits:
+            v[c] = -row[f] * (scale // row[c])
+        g = gcd(*v)
+        basis.append([x // g for x in v])
+    if not basis:
         return zeros(n, 0)
-    if all(_fits_i64(x) for v in cols for x in v):
-        return np.array(cols, dtype=np.int64).T.copy()
-    return np.array(cols, dtype=object).T.copy()
+    return np.array(basis, dtype=object).T
 
 
 def rank_of_columns(mats):

@@ -318,8 +318,14 @@ def verify_model(d):
     Returns the list of mismatch descriptions; empty means every table of
     the realized complex equals its closed-form prediction entry for entry.
     """
-    K = realize_model(d)
-    got = compute_model_tables(K)
+    return model_mismatches(d, compute_model_tables(realize_model(d)))
+
+
+def model_mismatches(d, got):
+    """Mismatch descriptions of computed :class:`ModelTables` ``got``.
+
+    Each table is diffed entry for entry against :func:`predicted_tables`.
+    """
     pred = predicted_tables(d)
     mismatches = []
 

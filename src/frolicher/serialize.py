@@ -39,6 +39,8 @@ def str_to_fraction(s):
         f = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}: {exc}")
+    if "/" in s and int(s.split("/")[1]) != f.denominator:
+        raise ParseError(f"rational {s!r} is not in lowest terms")
     return f
 
 
@@ -76,9 +78,13 @@ def _require(cond, msg):
         raise ParseError(msg)
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_field(doc, key, minimum=0):
     v = doc.get(key)
-    _require(isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
+    _require(_is_int(v) and v >= minimum,
              f"{key!r} must be an integer >= {minimum}")
     return v
 
@@ -92,9 +98,9 @@ def doc_to_complex(doc):
              f"'dims' must be a list of {p_max + 1} columns")
     for col in dims:
         _require(isinstance(col, list) and len(col) == q_max + 1
-                 and all(isinstance(x, int) and not isinstance(x, bool)
-                         and x >= 0 for x in col),
-                 "'dims' entries must be non-negative integers, dims[p][q]")
+                 and all(_is_int(x) and 0 <= x < 2 ** 63 for x in col),
+                 "'dims' entries must be non-negative integers below 2**63, "
+                 "dims[p][q]")
     grid = np.array(dims, dtype=np.int64)
 
     def parse_maps(key, horiz):
@@ -106,7 +112,7 @@ def doc_to_complex(doc):
                      f"each {key} entry needs keys p, q, m")
             p = item["p"]
             q = item["q"]
-            _require(isinstance(p, int) and isinstance(q, int),
+            _require(_is_int(p) and _is_int(q),
                      f"{key} indices must be integers")
             tgt = (p + 1, q) if horiz else (p, q + 1)
             _require(0 <= p <= p_max and 0 <= q <= q_max

@@ -136,7 +136,7 @@ def synthesize(multiset, grid):
             m = maps.get(src)
             if m is None:
                 tgt = (src[0] + 1, src[1]) if kind == "h" else (src[0], src[1] + 1)
-                m = np.zeros((int(dims[tgt]), int(dims[src])), dtype=np.int64)
+                m = linalg.zeros(int(dims[tgt]), int(dims[src]))
                 maps[src] = m
             m[spot_of[dst], spot_of[src]] = 1
     return DoubleComplex(p_max, q_max, dims, dh, dv)

@@ -64,6 +64,18 @@ def test_validate_flags_broken_anticommute():
     assert [v.axiom for v in validate(bad)] == ["anticommute"]
 
 
+def test_maps_are_frozen_copies():
+    m = linalg.identity(1)
+    K = DoubleComplex(1, 0, np.ones((2, 1), dtype=np.int64), {(0, 0): m})
+    before = row_cohomology(K)
+    assert before.grid.tolist() == [[0], [0]]
+    m[0, 0] = 0  # the caller's array is not the complex's
+    assert row_cohomology(K) == before
+    assert validate(K) == []
+    with pytest.raises(ValueError):
+        K.dh(0, 0)[0, 0] = 0
+
+
 def test_direct_sum_with_zero_is_identity():
     K = dot(1, 1)
     S = direct_sum(K, empty_complex(3, 3))

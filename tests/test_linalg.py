@@ -1,10 +1,9 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from frolicher import _kernels, linalg
+from frolicher import linalg
 from genutil import random_fraction_matrix, random_int_matrix, ref_rank
 
 
@@ -58,42 +57,27 @@ def test_big_entries_use_object_path():
     assert linalg.is_zero(linalg.mat_mul(m, basis))
 
 
-def test_guard_escalation_gives_exact_answer():
-    # Dense random 25x25 minors overflow int64; the kernel must bail and the
-    # wrapper must escalate instead of wrapping around.
+def check_rank_and_kernel(m):
+    c = m.shape[1]
+    expected = ref_rank(m)
+    assert linalg.rank(m) == expected
+    basis = linalg.nullspace(m)
+    assert basis.shape == (c, c - expected)
+    assert linalg.is_zero(linalg.mat_mul(m, basis))
+
+
+def test_big_integer_rank_and_kernel():
+    # Minors of a dense random 25x25 matrix run far past 64 bits.
     rng = random.Random(99)
-    m = random_int_matrix(rng, 25, 25, mag=9)
-    raw = np.ascontiguousarray(m, dtype=np.int64).copy()
-    assert _kernels.rank_i64(raw) == -1
-    assert linalg.rank(m) == ref_rank(m)
+    check_rank_and_kernel(random_int_matrix(rng, 25, 25, mag=9))
 
 
-def test_jit_and_pure_and_big_agree():
-    rng = random.Random(5)
+@pytest.mark.parametrize("seed", (5, 6))
+def test_small_rank_and_kernel_match_reference(seed):
+    rng = random.Random(seed)
     for _ in range(40):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
-        m = random_int_matrix(rng, r, c, mag=3)
-        a = np.ascontiguousarray(m, dtype=np.int64)
-        jit = _kernels.rank_i64(a.copy())
-        pure = _kernels._rank_i64(a.copy())
-        big = _kernels.rank_big(a.tolist())
-        assert jit == pure == big
-
-
-def test_rref_pure_matches_big():
-    rng = random.Random(6)
-    for _ in range(40):
-        r, c = rng.randint(1, 6), rng.randint(1, 6)
-        m = np.ascontiguousarray(random_int_matrix(rng, r, c, mag=3),
-                                 dtype=np.int64)
-        piv = np.zeros(c, dtype=np.int64)
-        m1 = m.copy()
-        rk1 = _kernels._rref_i64(m1, piv)
-        rows = m.tolist()
-        rk2, piv2 = _kernels.rref_big(rows)
-        assert rk1 == rk2
-        assert [int(x) for x in piv[:rk1]] == piv2
-        assert m1.tolist() == rows
+        check_rank_and_kernel(random_int_matrix(rng, r, c, mag=3))
 
 
 def test_denominator_clearing_preserves_rank_and_kernel():

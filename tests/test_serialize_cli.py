@@ -142,6 +142,38 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+def validate_doc(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path)])
+    return code, capsys.readouterr().err
+
+
+def arrow_doc(p=0, entry="1", dim=1):
+    return {"p_max": 1, "q_max": 0, "dims": [[dim], [1]],
+            "d_horiz": [{"p": p, "q": 0, "m": [[entry]]}]}
+
+
+def test_cli_rejects_huge_dims_entry(tmp_path, capsys):
+    code, err = validate_doc(tmp_path, capsys, arrow_doc(dim=10 ** 30))
+    assert code == 2
+    assert "'dims' entries" in err
+
+
+def test_cli_rejects_boolean_map_index(tmp_path, capsys):
+    for flag in (False, True):
+        code, err = validate_doc(tmp_path, capsys, arrow_doc(p=flag))
+        assert code == 2
+        assert "indices must be integers" in err
+
+
+def test_cli_rejects_rational_not_in_lowest_terms(tmp_path, capsys):
+    code, err = validate_doc(tmp_path, capsys, arrow_doc(entry="2/4"))
+    assert code == 2
+    assert "lowest terms" in err
+    assert validate_doc(tmp_path, capsys, arrow_doc(entry="1/2")) == (0, "")
+
+
 def test_cli_cohomology_theories(tmp_path, capsys):
     path = write_etesi(tmp_path)
     for theory in ("dolbeault", "row", "bc", "aeppli"):
