@@ -12,8 +12,16 @@ reduced form allows.
 
 Pivot rows are zero in each other's pivot columns and each one starts at its
 pivot column, so they are the reduced row echelon form of the input up to one
-positive scale per row.  That form is unique: the output does not depend on
-the order of the input rows.
+positive scale per row.  That form is unique: the pivots and reduced rows do
+not depend on the order of the input rows.
+
+It also reports each pivot's origin, the input row whose residue created
+the pivot; that does depend on the order.  A residue is zero in every
+earlier pivot column, so the pivot a row creates is fixed by the rows
+before it, whatever the reduction steps were.  ``linalg.rank`` returns the
+(origin, pivot) pairs as the rank profile; fed boundary columns in
+filtration order, with row indices reversed, they are the persistence
+pairs (see :mod:`.spectral`).
 """
 
 from math import gcd, lcm
@@ -50,18 +58,22 @@ def _clear(row, col, pivot):
 
 
 def eliminate(rows):
-    """Reduced echelon form of ``rows``; returns ``(pivots, reduced)``.
+    """Reduced echelon form of ``rows``; returns ``(pivots, reduced, origins)``.
 
-    Each input row is a non-empty dict from column index to a nonzero int
-    or ``Fraction``; the input is not modified.
+    Each input row is a dict from column index to a nonzero int or
+    ``Fraction``; an empty row creates no pivot.  The input is not modified.
 
     ``pivots`` lists the pivot columns in increasing order and
     ``reduced[i]`` is the pivot row of ``pivots[i]``: a primitive integer
     dict with a positive entry at its pivot, zero in every other pivot
-    column and in every column left of its pivot.
+    column and in every column left of its pivot.  ``origins[i]`` is the
+    position in ``rows`` of the input row that created ``pivots[i]``.
     """
     pivot_rows = {}
-    for raw in rows:
+    origin = {}
+    for index, raw in enumerate(rows):
+        if not raw:
+            continue
         row = _integer_row(raw)
         for col in [c for c in row if c in pivot_rows]:
             row = _clear(row, col, pivot_rows[col])
@@ -74,8 +86,10 @@ def eliminate(rows):
             if col in other:
                 pivot_rows[c] = _clear(other, col, row)
         pivot_rows[col] = row
+        origin[col] = index
     pivots = sorted(pivot_rows)
-    return pivots, [pivot_rows[c] for c in pivots]
+    return (pivots, [pivot_rows[c] for c in pivots],
+            [origin[c] for c in pivots])
 
 
 # perfbench/run.py reports kernel_backend "interpreted" when these are one object.

@@ -109,6 +109,17 @@ class DoubleComplex:
             return linalg.zeros(self.dim(p, q + 1), self.dim(p, q))
         return m
 
+    def stored_maps(self):
+        """``(source, target, matrix)`` for every map the complex stores.
+
+        Absent maps are zero and are not listed, so nothing is allocated
+        for them.
+        """
+        for (p, q), m in self._dh.items():
+            yield (p, q), (p + 1, q), m
+        for (p, q), m in self._dv.items():
+            yield (p, q), (p, q + 1), m
+
     def spots(self):
         for p in range(self.p_max + 1):
             for q in range(self.q_max + 1):
@@ -294,15 +305,10 @@ def total_differential(K, k):
     """
     src = degree_spots(K, k)
     tgt = degree_spots(K, k + 1)
+    src_index = {spot: j for j, spot in enumerate(src)}
     tgt_index = {spot: i for i, spot in enumerate(tgt)}
-    row_dims = [K.dim(p, q) for p, q in tgt]
-    col_dims = [K.dim(p, q) for p, q in src]
-    blocks = {}
-    for j, (p, q) in enumerate(src):
-        i = tgt_index.get((p + 1, q))
-        if i is not None:
-            blocks[(i, j)] = K.dh(p, q)
-        i = tgt_index.get((p, q + 1))
-        if i is not None:
-            blocks[(i, j)] = K.dv(p, q)
-    return linalg.assemble(row_dims, col_dims, blocks)
+    blocks = {(tgt_index[t], src_index[s]): m
+              for s, t, m in K.stored_maps()
+              if s in src_index and t in tgt_index}
+    return linalg.assemble([K.dim(*s) for s in tgt], [K.dim(*s) for s in src],
+                           blocks)

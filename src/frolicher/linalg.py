@@ -4,7 +4,9 @@ Matrices are 2-D numpy arrays of dtype ``object`` holding Python ints and
 ``fractions.Fraction``, treated as immutable values.  There is one
 representation and one eliminator (:func:`._kernels.eliminate`): ranks and
 kernels are read off the same fraction-free reduced echelon form, so every
-result is exact and no integer can overflow.
+result is exact and no integer can overflow.  The eliminator also reports
+the input row behind each pivot, which ``rank(a, profile=True)`` returns as
+the rank profile; the spectral pages read their persistence pairing from it.
 """
 
 from fractions import Fraction
@@ -87,18 +89,28 @@ def assemble(row_dims, col_dims, blocks):
 
 
 def _rows(a):
-    """The nonzero rows of ``a`` as dicts from column index to entry."""
-    rows = {}
+    """The rows of ``a`` as dicts from column index to nonzero entry."""
+    rows = [{} for _ in range(a.shape[0])]
     if a.size:
         ii, jj = a.nonzero()
         for i, j, x in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
-            rows.setdefault(i, {})[j] = x
-    return rows.values()
+            rows[i][j] = x
+    return rows
 
 
-def rank(a):
-    """Exact rank: the number of pivots of the reduced echelon form."""
-    return len(eliminate(_rows(a))[0])
+def rank(a, profile=False):
+    """Exact rank: the number of pivots of the reduced echelon form.
+
+    With ``profile=True`` it returns the rank profile instead: one
+    ``(row, column)`` pair per pivot, ordered by column, where ``row`` is
+    the first row at which the leading rows of ``a`` gain a pivot in
+    ``column``.  ``rank(a[:i, :j])`` is the number of pairs with
+    ``row < i`` and ``column < j``.
+    """
+    pivots, _, origins = eliminate(_rows(a))
+    if profile:
+        return list(zip(origins, pivots))
+    return len(pivots)
 
 
 def nullspace(a):
@@ -110,7 +122,7 @@ def nullspace(a):
     ``f``.
     """
     n = a.shape[1]
-    pivots, reduced = eliminate(_rows(a))
+    pivots, reduced, _ = eliminate(_rows(a))
     pivset = set(pivots)
     basis = []
     for f in range(n):

@@ -173,10 +173,10 @@ def doc_to_multiset(doc):
         dots = item["dots"]
         _require(isinstance(dots, list) and all(
             isinstance(d, list) and len(d) == 2
-            and all(isinstance(x, int) for x in d) for d in dots),
+            and all(_is_int(x) for x in d) for d in dots),
             "'dots' must be a list of [p, q] pairs")
         mult = item["mult"]
-        _require(isinstance(mult, int) and mult >= 0,
+        _require(_is_int(mult) and mult >= 0,
                  "'mult' must be a non-negative integer")
         shape = canonicalize_shape([tuple(d) for d in dots])
         out[shape] += mult

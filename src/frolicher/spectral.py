@@ -1,16 +1,34 @@
 """Pages of the column-filtration spectral sequence, two independent ways.
 
-``pages_filtration`` is the oracle: it works on the total complex, filtered
-by the first grading, and computes each page as the standard subquotient
+``pages_filtration`` reads every page off the persistence pairing of the
+total complex T, filtered by the first grading (F^p T = spots with first
+grading >= p).  The basis of T is ordered by p descending, then total
+degree descending, so every prefix of the order is a subcomplex.  Reducing
+the boundary columns d e_j in that order pairs e_j with the element e_i at
+which its reduced column ends; ``e_i`` is born at filtration p_i and killed
+at p_j, a bar of length p_i - p_j.  A pair of length l is cancelled by the
+differential d_l (Basu & Parida, arXiv:1510.01587; Zomorodian & Carlsson,
+DCG 2005), so
 
-    Z_r(p, q)  =  { x in F^p T^{p+q} : d x in F^{p+r} }
-    E_r(p, q)  =  Z_r(p, q)  /  ( Z_{r-1}(p+1, q-1)  +  d Z_{r-1}(p-r+1, q+r-2) )
+    E_r(p, q)  =  #{ basis elements at (p, q) that are unpaired
+                     or whose bar has length >= r }
 
-with every dimension an exact rank computation.  ``pages_explicit`` solves
-instead for chains of existential extensions at the spot itself: a class at
-``(p, q)`` on page r is a d_v-closed element whose horizontal images can be
-corrected r - 1 times, modulo values of staircases arriving from the left.
-The two must agree on every valid complex; the test suite enforces this.
+and the first page equal to the limit is one more than the longest bar.
+The total differential maps degree k into degree k + 1 only, so the
+reduction is one exact elimination per degree, and its pairing is the rank
+profile of that degree's boundary matrix (``linalg.rank`` with
+``profile=True``).  Within one filtration level the order of the basis
+does not matter.
+
+``pages_explicit`` solves instead for chains of existential extensions at
+the spot itself: a class at ``(p, q)`` on page r is a d_v-closed element
+whose horizontal images can be corrected r - 1 times, modulo values of
+staircases arriving from the left.  It builds and solves small systems per
+page and spot and never forms the total complex, so the two methods share
+only the eliminator; they must agree on every valid complex, and the test
+suite enforces this.  ``cohomology.de_rham`` takes its own ranks of the
+total differentials, so the abutment of the stable page to it is a check
+of the pairing, not a restatement of it.
 
 The page at index ``min(p_max, q_max) + 2`` is stable: on a bounded grid all
 later differentials have zero source or target, so it stands in for the
@@ -62,103 +80,48 @@ def euler_char_of_page(table):
     return total
 
 
-class _FiltrationEngine:
-    """Shared state for the subquotient computation on one complex."""
+def _basis_spots(K, k):
+    """The spot of each basis vector of degree ``k``, in increasing ``p``."""
+    return [s for s in degree_spots(K, k) for _ in range(K.dim(*s))]
 
-    def __init__(self, K):
-        self.K = K
-        n = K.p_max + K.q_max
-        self.spots = {k: degree_spots(K, k) for k in range(n + 2)}
-        self.diff = {k: total_differential(K, k) for k in range(n + 1)}
-        self._zcache = {}
 
-    def _offset(self, k, p):
-        """Start of the coordinate block of spots with first grading >= p."""
-        off = 0
-        for sp, sq in self.spots.get(k, ()):
-            if sp >= p:
-                break
-            off += self.K.dim(sp, sq)
-        return off
+def _bars(K):
+    """Persistence pairs of the filtered total complex of a valid ``K``.
 
-    def _fdim(self, k, p):
-        return sum(self.K.dim(sp, sq)
-                   for sp, sq in self.spots.get(k, ()) if sp >= p)
-
-    def zbasis(self, p, k, row_limit):
-        """Kernel basis of {x in F^p T^k : (d x) vanishes below F^row_limit}.
-
-        Returned columns are coordinates in the F^p block (spots with first
-        grading >= p, in increasing order).
-        """
-        spots_k = self.spots.get(k, [])
-        if not spots_k:
-            return linalg.zeros(0, 0)
-        lo = max(p, spots_k[0][0])
-        hi = spots_k[-1][0] + 1
-        p_eff = min(max(p, lo), hi)
-        spots_k1 = self.spots.get(k + 1, [])
-        if spots_k1:
-            rlo, rhi = spots_k1[0][0], spots_k1[-1][0] + 1
-            limit_eff = min(max(row_limit, rlo), rhi)
-        else:
-            limit_eff = 0
-        key = (p_eff, k, limit_eff)
-        hit = self._zcache.get(key)
-        if hit is not None:
-            return hit
-        ncols = self._fdim(k, p_eff)
-        if ncols == 0:
-            basis = linalg.zeros(0, 0)
-        else:
-            col0 = self._offset(k, p_eff)
-            nrows = self._offset(k + 1, limit_eff)
-            system = self.diff[k][:nrows, col0:]
-            basis = linalg.nullspace(system)
-        self._zcache[key] = basis
-        return basis
-
-    def page_entry(self, p, q, r):
-        k = p + q
-        if self.K.dim(p, q) == 0:
-            return 0
-        num = self.zbasis(p, k, p + r)
-        if num.shape[1] == 0:
-            return 0
-        # Elements of F^{p+1} with the same arrival condition, embedded into
-        # F^p coordinates (the F^{p+1} block is a suffix of the F^p block).
-        u = self.zbasis(p + 1, k, p + r)
-        pad = self._fdim(k, p) - u.shape[0]
-        u_emb = linalg.vstack([linalg.zeros(pad, u.shape[1]), u])
-        # Boundaries from F^{p-r+1}: push the kernel basis through d and keep
-        # the F^p block (the rows below it vanish by the kernel constraint).
-        denom = [u_emb]
-        if k >= 1:
-            w0 = self.zbasis(p - r + 1, k - 1, p)
-            if w0.shape[1]:
-                src_p = p - r + 1
-                spots_prev = self.spots[k - 1]
-                src_eff = max(src_p, spots_prev[0][0]) if spots_prev else 0
-                col0 = self._offset(k - 1, src_eff)
-                dmat = self.diff[k - 1][:, col0:]
-                w = linalg.mat_mul(dmat, w0)
-                w = w[self._offset(k, p):, :]
-                denom.append(w)
-        return num.shape[1] - linalg.rank_of_columns(denom)
+    Returns ``(birth, death)`` spot pairs: the reduced boundary column of
+    the basis element at ``death`` ends at the basis element at ``birth``.
+    The bar length is ``birth[0] - death[0]``.
+    """
+    bars = []
+    tgt = _basis_spots(K, 0)
+    for k in range(K.p_max + K.q_max):
+        src, tgt = tgt, _basis_spots(K, k + 1)
+        # Row j is the boundary column d e of the j-th basis vector of
+        # degree k in filtration order (p descending); the columns of degree
+        # k + 1 run in increasing p, so a row's leading column is its
+        # persistence "low".
+        d = total_differential(K, k)[:, ::-1].T
+        bars += [(tgt[c], src[-1 - j]) for j, c in linalg.rank(d, profile=True)]
+    return bars
 
 
 def pages_filtration(K, r_max):
-    """Page tables r = 1 .. r_max from the filtration subquotients."""
+    """Page tables r = 1 .. r_max from the barcode of the filtration."""
     require_valid(K)
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    eng = _FiltrationEngine(K)
+    # A bar of length l removes its two ends from every page after E_l.
+    dying = [[] for _ in range(r_max)]
+    for birth, death in _bars(K):
+        length = birth[0] - death[0]
+        if length < r_max:
+            dying[length] += [birth, death]
+    grid = K.dims.copy()
     tables = []
     for r in range(1, r_max + 1):
-        g = np.zeros((K.p_max + 1, K.q_max + 1), dtype=np.int64)
-        for p, q in K.spots():
-            g[p, q] = eng.page_entry(p, q, r)
-        tables.append(PageTable(r, g))
+        for p, q in dying[r - 1]:
+            grid[p, q] -= 1
+        tables.append(PageTable(r, grid.copy()))
     return tables
 
 
@@ -219,12 +182,8 @@ def pages_explicit(K, r_max):
 
 
 def degeneration_page(K):
-    """Smallest r whose page equals the stable page of the bounded grid."""
+    """Smallest r whose page equals the stable page: 1 + the longest bar."""
     require_valid(K)
-    stable = stable_page_index(K)
-    tables = pages_filtration(K, stable)
-    last = tables[-1]
-    for t in tables:
-        if t.same_entries(last):
-            return t.r
-    return stable
+    # A bar of length l runs from (p, q) to (p - l, q + l - 1), so
+    # l <= p_max and l <= q_max + 1: this never exceeds stable_page_index(K).
+    return 1 + max((b[0] - d[0] for b, d in _bars(K)), default=0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bicomplex import DoubleComplex, direct_sum
+from .bicomplex import DoubleComplex
 from .cohomology import aeppli, bott_chern, de_rham, dolbeault, row_cohomology
 from .spectral import pages_filtration, stable_page_index
 
@@ -105,7 +105,7 @@ def synthesize(multiset, grid):
 
     Summands are laid out in canonical shape order, copies consecutively, so
     the synthesized complex is identical across runs; the result equals the
-    fold of :func:`direct_sum` over the same sequence.
+    fold of :func:`.bicomplex.direct_sum` over the same sequence.
     """
     p_max, q_max = grid
     summands = []
@@ -214,14 +214,3 @@ def enumerate_shapes(grid, max_length):
         for q in range(q_max + 1):
             extend([(p, q)], 0)
     return sorted(found, key=lambda s: (len(s), s.dots))
-
-
-def fold_synthesize(multiset, grid):
-    """Reference synthesis by repeated binary direct sums (for testing)."""
-    from .bicomplex import empty_complex
-    out = empty_complex(*grid)
-    for shape in sorted(multiset):
-        piece = realize_shape(shape, grid)
-        for _ in range(multiset[shape]):
-            out = direct_sum(out, piece)
-    return out

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from frolicher import linalg
-from frolicher.bicomplex import DoubleComplex, direct_sum
-from frolicher.zigzag import canonicalize_shape, synthesize
+from frolicher.bicomplex import DoubleComplex, direct_sum, empty_complex
+from frolicher.zigzag import canonicalize_shape, realize_shape, synthesize
 
 
 def ref_rank(mat):
@@ -80,6 +80,16 @@ def square_complex(p, q, grid):
     return DoubleComplex(p_max, q_max, dims,
                          d_horiz={(p, q): one, (p, q + 1): one},
                          d_vert={(p, q): one, (p + 1, q): -one})
+
+
+def fold_synthesize(multiset, grid):
+    """Reference synthesis by repeated binary direct sums."""
+    out = empty_complex(*grid)
+    for shape in sorted(multiset):
+        piece = realize_shape(shape, grid)
+        for _ in range(multiset[shape]):
+            out = direct_sum(out, piece)
+    return out
 
 
 def random_shape(rng, grid, max_len=6):

@@ -48,6 +48,27 @@ def test_nullspace_spans_kernel(seed):
             assert linalg.rank(basis) == basis.shape[1]
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_profile_counts_leading_ranks(seed):
+    rng = random.Random(seed + 200)
+    for _ in range(40):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        m = random_int_matrix(rng, r, c, mag=2)
+        # Zero and repeated rows and columns make pivots skip rows.
+        m[rng.randrange(r), :] = 0
+        if r > 1:
+            m[rng.randrange(r), :] = m[rng.randrange(r), :]
+        if c > 1:
+            m[:, rng.randrange(c)] = m[:, rng.randrange(c)]
+        profile = linalg.rank(m, profile=True)
+        assert len(profile) == linalg.rank(m)
+        assert [col for _, col in profile] == sorted(col for _, col in profile)
+        for i in range(1, r + 1):
+            for j in range(1, c + 1):
+                inside = sum(1 for row, col in profile if row < i and col < j)
+                assert inside == ref_rank(m[:i, :j])
+
+
 def test_big_entries_use_object_path():
     m = linalg.from_rows(2, 3, [[2 ** 40, 1, 2 ** 41], [3, 2 ** 45, 7]])
     assert m.dtype == object

@@ -218,6 +218,18 @@ def test_cli_zigzag_synth_round_trip(tmp_path, capsys):
     assert K.dim(0, 1) == 2
 
 
+def test_cli_zigzag_synth_rejects_booleans(tmp_path, capsys):
+    out = tmp_path / "complex.json"
+    for item, field in (({"dots": [[True, 0], [1, 1]], "mult": True}, "dots"),
+                        ({"dots": [[0, 1], [1, 1]], "mult": True}, "mult")):
+        src = tmp_path / "multiset.json"
+        src.write_text(json.dumps({"grid": {"p_max": 3, "q_max": 3},
+                                   "zigzags": [item]}))
+        assert main(["zigzag", "synth", str(src), "-o", str(out)]) == 2
+        assert f"'{field}' must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_s6_check(capsys):
     argv = ["s6", "check", "--h10", "0", "--h02", "0", "--h11", "1",
             "--alpha", "0", "--beta", "0"]

@@ -4,11 +4,12 @@ import pytest
 
 from frolicher.bicomplex import DoubleComplex, InvalidComplexError
 from frolicher.cohomology import de_rham, dolbeault
+from frolicher.s6 import DiamondParams, realize_model
 from frolicher.spectral import (PageTable, degeneration_page,
                                 euler_char_of_page, pages_explicit,
                                 pages_filtration, stable_page_index)
-from frolicher.zigzag import canonicalize_shape, realize_shape
-from genutil import random_complex
+from frolicher.zigzag import canonicalize_shape, enumerate_shapes, realize_shape
+from genutil import change_basis, random_complex
 
 import numpy as np
 
@@ -112,6 +113,39 @@ def test_degeneration_bound():
     for i in range(12):
         K = random_complex(rng, 2 + i % 3, 2 + i % 2)
         assert degeneration_page(K) <= min(K.p_max, K.q_max) + 2
+
+
+def first_stable_explicit_page(K):
+    tables = pages_explicit(K, stable_page_index(K))
+    return next(t.r for t in tables if t.same_entries(tables[-1]))
+
+
+def test_degeneration_page_matches_explicit_pages():
+    complexes = [realize_shape(s, (3, 3)) for s in enumerate_shapes((3, 3), 6)]
+    complexes += [realize_model(DiamondParams(*d)) for d in
+                  ((0, 0, 1, 0, 0), (1, 0, 0, 1, 0), (0, 1, 1, 1, 1),
+                   (0, 1, 0, 2, 1))]
+    assert len(complexes) == 86
+    seen = set()
+    for K in complexes:
+        r = degeneration_page(K)
+        assert r == first_stable_explicit_page(K)
+        seen.add(r)
+    assert seen == {1, 2, 3, 4}
+
+
+def test_pages_ignore_the_basis_within_each_spot():
+    rng = random.Random(15)
+    plain = [realize_model(DiamondParams(0, 1, 0, 2, 1))]
+    plain += [random_complex(rng, 3, 3, max_shapes=5, max_mult=3,
+                             scramble=False) for _ in range(8)]
+    for K in plain:
+        r = stable_page_index(K)
+        scrambled = change_basis(rng, K, rational=True)
+        assert scrambled != K
+        for a, b in zip(pages_filtration(K, r), pages_filtration(scrambled, r)):
+            assert a == b
+        assert degeneration_page(scrambled) == degeneration_page(K)
 
 
 def test_rejects_bad_arguments():

@@ -11,9 +11,8 @@ from frolicher.cohomology import (aeppli, bott_chern, de_rham, dolbeault,
 from frolicher.spectral import pages_filtration, stable_page_index
 from frolicher.zigzag import (GridError, ShapeError, canonicalize_shape,
                               contribution_profile, enumerate_shapes,
-                              fold_synthesize, mirror_shape, realize_shape,
-                              synthesize)
-from genutil import random_multiset, random_shape
+                              mirror_shape, realize_shape, synthesize)
+from genutil import fold_synthesize, random_multiset, random_shape
 
 
 def test_canonicalize_reverses_to_smaller_end():
