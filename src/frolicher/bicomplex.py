@@ -8,10 +8,17 @@ vectors and are stored as target-dim x source-dim.  The two differentials
 square to zero and anticommute, so the total differential is d_h + d_v with
 no auxiliary signs.
 
+A complex stores both differentials in one arrow table that maps
+``(source, target)`` to a matrix; an arrow missing from the table is the
+zero map.  Validation, duals, conjugates, direct sums, the total
+differential and serialization walk the stored arrows, so no zero matrix is
+built for an absent map.
+
 Values are immutable once built; every operation here is a pure function.
 """
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -44,14 +51,16 @@ class DoubleComplex:
     """Candidate double complex; run :func:`validate` to check the axioms.
 
     ``dims`` is indexable as ``dims[p, q]``; ``d_horiz`` / ``d_vert`` map
-    ``(p, q)`` to matrices of int/Fraction, each stored as a frozen copy.
-    Construction accepts matrices of any shape so that validation can report
-    problems instead of refusing to represent them; redundant matrices (all
-    zero, or of the correct shape touching a zero-dimensional spot) are
-    normalized away.
+    ``(p, q)`` to the matrices of int/Fraction out of ``(p, q)``.  The
+    constructor files each one, as a frozen copy, in a read-only arrow table
+    keyed by ``(source, target)`` and sorted.  It accepts matrices of any
+    shape, so that validation can report problems instead of refusing to
+    represent them; a zero matrix of the correct shape on the grid (every
+    map touching a zero-dimensional spot is one) is the absent arrow and is
+    not stored.
     """
 
-    __slots__ = ("p_max", "q_max", "dims", "_dh", "_dv", "_report")
+    __slots__ = ("p_max", "q_max", "dims", "_arrows", "_report")
 
     def __init__(self, p_max, q_max, dims, d_horiz=None, d_vert=None):
         if p_max < 0 or q_max < 0:
@@ -67,27 +76,22 @@ class DoubleComplex:
         self.p_max = int(p_max)
         self.q_max = int(q_max)
         self.dims = grid
-        self._dh = self._normalize(d_horiz or {}, horiz=True)
-        self._dv = self._normalize(d_vert or {}, horiz=False)
+        arrows = {}
+        for (dp, dq), maps in (((1, 0), d_horiz or {}), ((0, 1), d_vert or {})):
+            for (p, q), m in maps.items():
+                m = np.asarray(m)
+                if m.ndim != 2:
+                    raise ValueError(f"map at ({p},{q}) is not a matrix")
+                # A frozen copy: the caller's array must not reach the value.
+                m = linalg.from_rows(*m.shape, m.tolist())
+                m.flags.writeable = False
+                s, t = (int(p), int(q)), (int(p) + dp, int(q) + dq)
+                if not (_on_grid(self, s, t)
+                        and m.shape == (self.dim(*t), self.dim(*s))
+                        and linalg.is_zero(m)):
+                    arrows[s, t] = m
+        self._arrows = MappingProxyType(dict(sorted(arrows.items())))
         self._report = None
-
-    def _normalize(self, maps, horiz):
-        kept = {}
-        for (p, q), m in maps.items():
-            m = np.asarray(m)
-            if m.ndim != 2:
-                raise ValueError(f"map at ({p},{q}) is not a matrix")
-            # A frozen copy: the caller's array must not reach the value.
-            m = linalg.from_rows(*m.shape, m.tolist())
-            m.flags.writeable = False
-            tgt = (p + 1, q) if horiz else (p, q + 1)
-            expected = (self.dim(*tgt), self.dim(p, q))
-            in_range = (0 <= p <= self.p_max and 0 <= q <= self.q_max
-                        and tgt[0] <= self.p_max and tgt[1] <= self.q_max)
-            if in_range and m.shape == expected and linalg.is_zero(m):
-                continue
-            kept[(int(p), int(q))] = m
-        return kept
 
     def dim(self, p, q):
         """Dimension at ``(p, q)``; spots outside the grid are zero."""
@@ -97,28 +101,25 @@ class DoubleComplex:
 
     def dh(self, p, q):
         """Horizontal differential out of ``(p, q)`` (canonical zero if absent)."""
-        m = self._dh.get((p, q))
+        m = self._arrows.get(((p, q), (p + 1, q)))
         if m is None:
             return linalg.zeros(self.dim(p + 1, q), self.dim(p, q))
         return m
 
     def dv(self, p, q):
         """Vertical differential out of ``(p, q)`` (canonical zero if absent)."""
-        m = self._dv.get((p, q))
+        m = self._arrows.get(((p, q), (p, q + 1)))
         if m is None:
             return linalg.zeros(self.dim(p, q + 1), self.dim(p, q))
         return m
 
     def stored_maps(self):
-        """``(source, target, matrix)`` for every map the complex stores.
+        """The arrow table's ``((source, target), matrix)`` items, sorted.
 
         Absent maps are zero and are not listed, so nothing is allocated
         for them.
         """
-        for (p, q), m in self._dh.items():
-            yield (p, q), (p + 1, q), m
-        for (p, q), m in self._dv.items():
-            yield (p, q), (p, q + 1), m
+        return self._arrows.items()
 
     def spots(self):
         for p in range(self.p_max + 1):
@@ -131,27 +132,28 @@ class DoubleComplex:
     def __eq__(self, other):
         if not isinstance(other, DoubleComplex):
             return NotImplemented
-        if (self.p_max, self.q_max) != (other.p_max, other.q_max):
-            return False
-        if not np.array_equal(self.dims, other.dims):
-            return False
-        for mine, theirs in ((self._dh, other._dh), (self._dv, other._dv)):
-            for key in set(mine) | set(theirs):
-                a = mine.get(key)
-                b = theirs.get(key)
-                if a is None or b is None:
-                    # one side normalized the matrix away: equal iff the
-                    # survivor is itself a redundant zero (it never is).
-                    return False
-                if not linalg.mat_eq(a, b):
-                    return False
-        return True
+        return ((self.p_max, self.q_max) == (other.p_max, other.q_max)
+                and bool(np.array_equal(self.dims, other.dims))
+                and self._arrows.keys() == other._arrows.keys()
+                and all(linalg.mat_eq(m, other._arrows[a])
+                        for a, m in self._arrows.items()))
 
     __hash__ = None
 
     def __repr__(self):
         return (f"DoubleComplex(p_max={self.p_max}, q_max={self.q_max}, "
                 f"total_dim={self.total_dim()})")
+
+
+def _on_grid(K, *spots):
+    return all(0 <= p <= K.p_max and 0 <= q <= K.q_max for p, q in spots)
+
+
+def _from_arrows(p_max, q_max, dims, arrows):
+    """The complex whose arrow table is ``arrows`` (zero maps dropped)."""
+    horiz = {s: m for (s, t), m in arrows.items() if t[0] != s[0]}
+    vert = {s: m for (s, t), m in arrows.items() if t[0] == s[0]}
+    return DoubleComplex(p_max, q_max, dims, horiz, vert)
 
 
 def empty_complex(p_max, q_max):
@@ -166,49 +168,45 @@ def validate(K):
     or sits outside the grid), ``dd_horiz`` / ``dd_vert`` (a differential
     composed with itself is nonzero), ``anticommute`` (d_h d_v + d_v d_h is
     nonzero).  Composite checks are skipped where a shape violation already
-    makes the composite meaningless.
+    makes the composite meaningless; absent maps are zero and are never
+    multiplied.
     """
     out = []
     bad = set()
 
-    for kind, maps in (("horiz", K._dh), ("vert", K._dv)):
-        for (p, q), m in sorted(maps.items()):
-            tgt = (p + 1, q) if kind == "horiz" else (p, q + 1)
-            if not (0 <= p <= K.p_max and 0 <= q <= K.q_max
-                    and tgt[0] <= K.p_max and tgt[1] <= K.q_max):
-                out.append(Violation(p, q, "shape",
-                                     f"d_{kind} leaves the grid"))
-                bad.add((kind, p, q))
-                continue
-            expected = (K.dim(*tgt), K.dim(p, q))
-            if m.shape != expected:
-                out.append(Violation(p, q, "shape",
-                                     f"d_{kind} is {m.shape[0]}x{m.shape[1]}, "
-                                     f"expected {expected[0]}x{expected[1]}"))
-                bad.add((kind, p, q))
+    for (s, t), m in K.stored_maps():
+        kind = "horiz" if t[0] != s[0] else "vert"
+        if not _on_grid(K, s, t):
+            out.append(Violation(*s, "shape", f"d_{kind} leaves the grid"))
+            bad.add((s, t))
+            continue
+        expected = (K.dim(*t), K.dim(*s))
+        if m.shape != expected:
+            out.append(Violation(*s, "shape",
+                                 f"d_{kind} is {m.shape[0]}x{m.shape[1]}, "
+                                 f"expected {expected[0]}x{expected[1]}"))
+            bad.add((s, t))
 
-    def ok(kind, p, q):
-        return (kind, p, q) not in bad
+    def check(axiom, detail, *paths):
+        # Sum over paths s -> t -> u of the composed stored maps; an absent
+        # map makes its path zero, and a broken one skips the check.
+        arrows = [a for s, t, u in paths for a in ((s, t), (t, u))]
+        if not bad.isdisjoint(arrows):
+            return
+        terms = [linalg.mat_mul(K._arrows[t, u], K._arrows[s, t])
+                 for s, t, u in paths
+                 if (s, t) in K._arrows and (t, u) in K._arrows]
+        if terms and not linalg.is_zero(sum(terms)):
+            out.append(Violation(*paths[0][0], axiom, detail))
 
     for p, q in K.spots():
-        if p + 2 <= K.p_max and ok("horiz", p, q) and ok("horiz", p + 1, q):
-            comp = linalg.mat_mul(K.dh(p + 1, q), K.dh(p, q))
-            if not linalg.is_zero(comp):
-                out.append(Violation(p, q, "dd_horiz",
-                                     "horizontal differential squared is nonzero"))
-        if q + 2 <= K.q_max and ok("vert", p, q) and ok("vert", p, q + 1):
-            comp = linalg.mat_mul(K.dv(p, q + 1), K.dv(p, q))
-            if not linalg.is_zero(comp):
-                out.append(Violation(p, q, "dd_vert",
-                                     "vertical differential squared is nonzero"))
-        if (p + 1 <= K.p_max and q + 1 <= K.q_max
-                and ok("horiz", p, q) and ok("vert", p + 1, q)
-                and ok("vert", p, q) and ok("horiz", p, q + 1)):
-            anti = (linalg.mat_mul(K.dv(p + 1, q), K.dh(p, q))
-                    + linalg.mat_mul(K.dh(p, q + 1), K.dv(p, q)))
-            if not linalg.is_zero(anti):
-                out.append(Violation(p, q, "anticommute",
-                                     "d_h d_v + d_v d_h is nonzero"))
+        right, up, diag = (p + 1, q), (p, q + 1), (p + 1, q + 1)
+        check("dd_horiz", "horizontal differential squared is nonzero",
+              ((p, q), right, (p + 2, q)))
+        check("dd_vert", "vertical differential squared is nonzero",
+              ((p, q), up, (p, q + 2)))
+        check("anticommute", "d_h d_v + d_v d_h is nonzero",
+              ((p, q), right, diag), ((p, q), up, diag))
     return out
 
 
@@ -227,24 +225,15 @@ def direct_sum(K1, K2):
     p_max = max(K1.p_max, K2.p_max)
     q_max = max(K1.q_max, K2.q_max)
     dims = np.zeros((p_max + 1, q_max + 1), dtype=np.int64)
-    for p in range(p_max + 1):
-        for q in range(q_max + 1):
-            dims[p, q] = K1.dim(p, q) + K2.dim(p, q)
-    dh = {}
-    dv = {}
-    for p in range(p_max + 1):
-        for q in range(q_max + 1):
-            if p < p_max:
-                dh[(p, q)] = linalg.assemble(
-                    [K1.dim(p + 1, q), K2.dim(p + 1, q)],
-                    [K1.dim(p, q), K2.dim(p, q)],
-                    {(0, 0): K1.dh(p, q), (1, 1): K2.dh(p, q)})
-            if q < q_max:
-                dv[(p, q)] = linalg.assemble(
-                    [K1.dim(p, q + 1), K2.dim(p, q + 1)],
-                    [K1.dim(p, q), K2.dim(p, q)],
-                    {(0, 0): K1.dv(p, q), (1, 1): K2.dv(p, q)})
-    return DoubleComplex(p_max, q_max, dims, dh, dv)
+    dims[:K1.p_max + 1, :K1.q_max + 1] += K1.dims
+    dims[:K2.p_max + 1, :K2.q_max + 1] += K2.dims
+    arrows = {}
+    for s, t in K1._arrows.keys() | K2._arrows.keys():
+        blocks = {(i, i): K._arrows[s, t]
+                  for i, K in enumerate((K1, K2)) if (s, t) in K._arrows}
+        arrows[s, t] = linalg.assemble([K1.dim(*t), K2.dim(*t)],
+                                       [K1.dim(*s), K2.dim(*s)], blocks)
+    return _from_arrows(p_max, q_max, dims, arrows)
 
 
 def dual(K):
@@ -256,38 +245,17 @@ def dual(K):
     """
     require_valid(K)
     P, Q = K.p_max, K.q_max
-    dims = np.zeros((P + 1, Q + 1), dtype=np.int64)
-    for p in range(P + 1):
-        for q in range(Q + 1):
-            dims[p, q] = K.dim(P - p, Q - q)
-    dh = {}
-    dv = {}
-    for p in range(P + 1):
-        for q in range(Q + 1):
-            if p < P:
-                dh[(p, q)] = linalg.transpose(K.dh(P - p - 1, Q - q))
-            if q < Q:
-                dv[(p, q)] = linalg.transpose(K.dv(P - p, Q - q - 1))
-    return DoubleComplex(P, Q, dims, dh, dv)
+    return _from_arrows(P, Q, K.dims[::-1, ::-1],
+                        {((P - t[0], Q - t[1]), (P - s[0], Q - s[1])): m.T
+                         for (s, t), m in K.stored_maps()})
 
 
 def conjugate(K):
     """Swap the two gradings and the two differentials."""
     require_valid(K)
-    P, Q = K.q_max, K.p_max
-    dims = np.zeros((P + 1, Q + 1), dtype=np.int64)
-    for p in range(P + 1):
-        for q in range(Q + 1):
-            dims[p, q] = K.dim(q, p)
-    dh = {}
-    dv = {}
-    for p in range(P + 1):
-        for q in range(Q + 1):
-            if p < P:
-                dh[(p, q)] = K.dv(q, p)
-            if q < Q:
-                dv[(p, q)] = K.dh(q, p)
-    return DoubleComplex(P, Q, dims, dh, dv)
+    return _from_arrows(K.q_max, K.p_max, K.dims.T,
+                        {(s[::-1], t[::-1]): m
+                         for (s, t), m in K.stored_maps()})
 
 
 def degree_spots(K, k):
@@ -308,7 +276,7 @@ def total_differential(K, k):
     src_index = {spot: j for j, spot in enumerate(src)}
     tgt_index = {spot: i for i, spot in enumerate(tgt)}
     blocks = {(tgt_index[t], src_index[s]): m
-              for s, t, m in K.stored_maps()
+              for (s, t), m in K.stored_maps()
               if s in src_index and t in tgt_index}
     return linalg.assemble([K.dim(*s) for s in tgt], [K.dim(*s) for s in src],
                            blocks)

@@ -298,6 +298,9 @@ def _grid_arg(text):
         raise argparse.ArgumentTypeError("grid must be two integers")
     if p < 0 or q < 0:
         raise argparse.ArgumentTypeError("grid bounds must be non-negative")
+    if (p + 1) * (q + 1) > serialize.MAX_SIZE:
+        raise argparse.ArgumentTypeError(
+            f"the grid must have at most {serialize.MAX_SIZE} spots")
     return p, q
 
 

@@ -20,7 +20,8 @@ from ._kernels import eliminate
 
 def from_rows(rows, cols, entries):
     """Build a matrix from an iterable of row iterables of int/Fraction."""
-    data = [[_coerce(x) for x in row] for row in entries]
+    data = [[x if type(x) is int else _coerce(x) for x in row]
+            for row in entries]
     if len(data) != rows or any(len(r) != cols for r in data):
         raise ValueError("entry grid does not match the declared shape")
     return np.array(data, dtype=object).reshape(rows, cols)

@@ -5,6 +5,7 @@ fraction in lowest terms.  Dimension grids serialize as ``dims[p][q]``.
 Zero maps and maps touching a zero-dimensional spot are omitted from the
 document; the parser rejects the latter if present.  Round trip is exact:
 ``parse(serialize(K))`` reproduces ``K`` including every matrix entry.
+The parsers refuse documents larger than :data:`MAX_SIZE`.
 """
 
 import json
@@ -14,9 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .bicomplex import DoubleComplex
 from .zigzag import canonicalize_shape
+
+
+# Upper bound on a document's grid spots and on its total dimension (the
+# sum of dims, or of mult x dots over a multiset), so that a small hostile
+# file cannot ask for an unbounded allocation.  The largest s6 model with
+# parameters <= 6 has total dimension 290.
+MAX_SIZE = 4096
 
 
 class ParseError(ValueError):
@@ -48,24 +55,16 @@ def complex_to_doc(K):
     doc = {
         "p_max": K.p_max,
         "q_max": K.q_max,
-        "dims": [[int(K.dims[p, q]) for q in range(K.q_max + 1)]
-                 for p in range(K.p_max + 1)],
+        "dims": K.dims.tolist(),
+        "d_horiz": [],
+        "d_vert": [],
     }
-    for key, accessor, limit in (("d_horiz", K.dh, (K.p_max, K.q_max + 1)),
-                                 ("d_vert", K.dv, (K.p_max + 1, K.q_max))):
-        entries = []
-        for p in range(limit[0]):
-            for q in range(limit[1]):
-                m = accessor(p, q)
-                if m.size == 0 or linalg.is_zero(m):
-                    continue
-                entries.append({
-                    "p": p,
-                    "q": q,
-                    "m": [[fraction_to_str(m[i, j]) for j in range(m.shape[1])]
-                          for i in range(m.shape[0])],
-                })
-        doc[key] = entries
+    for (s, t), m in K.stored_maps():
+        doc["d_horiz" if t[0] != s[0] else "d_vert"].append({
+            "p": s[0],
+            "q": s[1],
+            "m": [[fraction_to_str(x) for x in row] for row in m.tolist()],
+        })
     return doc
 
 
@@ -89,18 +88,26 @@ def _int_field(doc, key, minimum=0):
     return v
 
 
-def doc_to_complex(doc):
-    _require(isinstance(doc, dict), "complex document must be a JSON object")
+def _grid_fields(doc):
     p_max = _int_field(doc, "p_max")
     q_max = _int_field(doc, "q_max")
+    _require((p_max + 1) * (q_max + 1) <= MAX_SIZE,
+             f"the grid must have at most {MAX_SIZE} spots")
+    return p_max, q_max
+
+
+def doc_to_complex(doc):
+    _require(isinstance(doc, dict), "complex document must be a JSON object")
+    p_max, q_max = _grid_fields(doc)
     dims = doc.get("dims")
     _require(isinstance(dims, list) and len(dims) == p_max + 1,
              f"'dims' must be a list of {p_max + 1} columns")
     for col in dims:
         _require(isinstance(col, list) and len(col) == q_max + 1
-                 and all(_is_int(x) and 0 <= x < 2 ** 63 for x in col),
-                 "'dims' entries must be non-negative integers below 2**63, "
-                 "dims[p][q]")
+                 and all(_is_int(x) and x >= 0 for x in col),
+                 "'dims' entries must be non-negative integers, dims[p][q]")
+    _require(sum(map(sum, dims)) <= MAX_SIZE,
+             f"'dims' entries must sum to at most {MAX_SIZE}")
     grid = np.array(dims, dtype=np.int64)
 
     def parse_maps(key, horiz):
@@ -127,8 +134,7 @@ def doc_to_complex(doc):
                 isinstance(row, list) and len(row) == len(m[0]) and row
                 for row in m), f"{key} matrix at ({p},{q}) must be a "
                 "non-empty rectangular array")
-            entries = [[str_to_fraction(x) for x in row] for row in m]
-            maps[(p, q)] = linalg.from_rows(len(m), len(m[0]), entries)
+            maps[(p, q)] = [[str_to_fraction(x) for x in row] for row in m]
         return maps
 
     return DoubleComplex(p_max, q_max, grid,
@@ -162,11 +168,11 @@ def doc_to_multiset(doc):
     _require(isinstance(doc, dict), "multiset document must be a JSON object")
     g = doc.get("grid")
     _require(isinstance(g, dict), "'grid' must be an object")
-    p_max = _int_field(g, "p_max")
-    q_max = _int_field(g, "q_max")
+    p_max, q_max = _grid_fields(g)
     raw = doc.get("zigzags", [])
     _require(isinstance(raw, list), "'zigzags' must be a list")
     out = Counter()
+    size = 0
     for item in raw:
         _require(isinstance(item, dict) and {"dots", "mult"} <= set(item),
                  "each zigzag entry needs keys dots, mult")
@@ -178,6 +184,9 @@ def doc_to_multiset(doc):
         mult = item["mult"]
         _require(_is_int(mult) and mult >= 0,
                  "'mult' must be a non-negative integer")
+        size += mult * len(dots)
+        _require(size <= MAX_SIZE,
+                 f"the zigzags must have at most {MAX_SIZE} dots in all")
         shape = canonicalize_shape([tuple(d) for d in dots])
         out[shape] += mult
     return out, (p_max, q_max)

@@ -11,10 +11,11 @@ from frolicher import linalg
 from frolicher.bicomplex import DoubleComplex
 from frolicher.cli import main
 from frolicher.s6 import DiamondParams, realize_model
-from frolicher.serialize import (ParseError, complex_to_json, doc_to_complex,
-                                 fraction_to_str, json_to_complex,
-                                 json_to_multiset, multiset_to_json,
-                                 parse_dot_list, str_to_fraction)
+from frolicher.serialize import (MAX_SIZE, ParseError, complex_to_json,
+                                 doc_to_complex, fraction_to_str,
+                                 json_to_complex, json_to_multiset,
+                                 multiset_to_json, parse_dot_list,
+                                 str_to_fraction)
 from frolicher.zigzag import canonicalize_shape
 from genutil import random_complex, random_multiset
 
@@ -160,6 +161,13 @@ def test_cli_rejects_huge_dims_entry(tmp_path, capsys):
     assert "'dims' entries" in err
 
 
+def test_cli_rejects_oversized_dims(tmp_path, capsys):
+    doc = {"p_max": 0, "q_max": 0, "dims": [[2 ** 62]]}
+    code, err = validate_doc(tmp_path, capsys, doc)
+    assert code == 2
+    assert f"sum to at most {MAX_SIZE}" in err
+
+
 def test_cli_rejects_boolean_map_index(tmp_path, capsys):
     for flag in (False, True):
         code, err = validate_doc(tmp_path, capsys, arrow_doc(p=flag))
@@ -228,6 +236,38 @@ def test_cli_zigzag_synth_rejects_booleans(tmp_path, capsys):
         assert main(["zigzag", "synth", str(src), "-o", str(out)]) == 2
         assert f"'{field}' must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+def synth_doc(tmp_path, capsys, doc):
+    src = tmp_path / "multiset.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "complex.json"
+    code = main(["zigzag", "synth", str(src), "-o", str(out)])
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
+def test_cli_zigzag_synth_rejects_oversized_grid(tmp_path, capsys):
+    doc = {"grid": {"p_max": 10 ** 9, "q_max": 10 ** 9}, "zigzags": []}
+    code, err = synth_doc(tmp_path, capsys, doc)
+    assert code == 2
+    assert f"at most {MAX_SIZE} spots" in err
+
+
+def test_cli_zigzag_synth_rejects_oversized_multiplicity(tmp_path, capsys):
+    doc = {"grid": {"p_max": 3, "q_max": 3},
+           "zigzags": [{"dots": [[0, 1], [1, 1]], "mult": 10 ** 15}]}
+    code, err = synth_doc(tmp_path, capsys, doc)
+    assert code == 2
+    assert f"at most {MAX_SIZE} dots" in err
+
+
+def test_cli_zigzag_profile_rejects_oversized_grid(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zigzag", "profile", "--dots", "(0,0)",
+              "--grid", "1000000000,1000000000"])
+    assert exc.value.code == 2
+    assert f"at most {MAX_SIZE} spots" in capsys.readouterr().err
 
 
 def test_cli_s6_check(capsys):
