@@ -113,6 +113,14 @@ class DoubleComplex:
             return linalg.zeros(self.dim(p, q + 1), self.dim(p, q))
         return m
 
+    def arrow(self, source, target):
+        """The stored matrix of the arrow ``source -> target``, or ``None``.
+
+        ``None`` means the map is zero; unlike :meth:`dh` / :meth:`dv`,
+        nothing is allocated for it.
+        """
+        return self._arrows.get((source, target))
+
     def stored_maps(self):
         """The arrow table's ``((source, target), matrix)`` items, sorted.
 

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (validation failure, inadmissible
 parameters, inference or verification mismatch) with the report on stderr,
-2 I/O or parse error.  Tables render with p increasing left to right and q
-increasing bottom to top.
+2 I/O, parse or argument error.  Numeric arguments have upper bounds, so
+that no argument can ask for an unbounded allocation or run.  Tables render
+with p increasing left to right and q increasing bottom to top.
 """
 
 import argparse
@@ -25,6 +26,10 @@ from .zigzag import (GridError, ShapeError, canonicalize_shape,
 
 DOMAIN_ERRORS = (InvalidComplexError, InadmissibleParamsError,
                  InferenceMismatchError, ShapeError, GridError)
+
+# Largest ``s6 enumerate --bound``: the box [0, B]^5 holds (B + 1)^5 tuples,
+# 161,051 at B = 10, which take about 6 s to check.
+MAX_BOUND = 10
 
 
 def render_grid(grid):
@@ -141,6 +146,21 @@ def _params(args):
     return DiamondParams(args.h10, args.h02, args.h11, args.alpha, args.beta)
 
 
+def _model_params(args):
+    """The diamond of ``args``, refused (exit 2) if its model is too large.
+
+    The model's total dimension is mult x dots summed over its multiset,
+    the size that ``serialize.MAX_SIZE`` bounds in a multiset document; it
+    is checked before anything is synthesized.
+    """
+    d = _params(args)
+    size = sum(m * len(s) for s, m in model_multiset(d).items())
+    if size > serialize.MAX_SIZE:
+        args.parser.error(f"the model of {d} has total dimension {size}; "
+                          f"at most {serialize.MAX_SIZE} is allowed")
+    return d
+
+
 def cmd_s6_check(args):
     report = check_constraints(_params(args), assume_a0=args.assume_a0)
     if not report.all_hold:
@@ -165,7 +185,7 @@ def cmd_s6_enumerate(args):
 
 
 def cmd_s6_realize(args):
-    K = realize_model(_params(args))
+    K = realize_model(_model_params(args))
     _write(args.output, serialize.complex_to_json(K))
     print(f"wrote {args.output}")
     return 0
@@ -195,7 +215,7 @@ def cmd_s6_infer(args):
 
 
 def cmd_s6_verify(args):
-    d = _params(args)
+    d = _model_params(args)
     mismatches = verify_model(d)
     if mismatches:
         for line in mismatches:
@@ -227,7 +247,9 @@ def build_parser():
 
     p = sub.add_parser("pages", help="spectral sequence pages")
     p.add_argument("file")
-    p.add_argument("--max", type=int, default=None)
+    p.add_argument("--max", type=_int_arg(serialize.MAX_SIZE), default=None,
+                   help=f"last page (at most {serialize.MAX_SIZE}; default "
+                        "the stable page)")
     p.add_argument("--method", default="filtration",
                    choices=["filtration", "explicit", "both"])
     p.set_defaults(func=cmd_pages)
@@ -255,6 +277,7 @@ def build_parser():
     def add_params(q):
         for name in ("h10", "h02", "h11", "alpha", "beta"):
             q.add_argument(f"--{name}", type=int, required=True)
+        q.set_defaults(parser=q)
 
     p = s6sub.add_parser("check", help="constraint report for one tuple")
     add_params(p)
@@ -262,7 +285,8 @@ def build_parser():
     p.set_defaults(func=cmd_s6_check)
 
     p = s6sub.add_parser("enumerate", help="admissible tuples in a box")
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_int_arg(MAX_BOUND, low=0), required=True,
+                   help=f"box [0, B]^5, B at most {MAX_BOUND}")
     p.add_argument("--assume-a0", action="store_true", dest="assume_a0")
     p.add_argument("--h11-zero", action="store_true", dest="h11_zero")
     p.add_argument("--format", default="lines", choices=["table", "lines"])
@@ -286,6 +310,21 @@ def build_parser():
     p.set_defaults(func=cmd_s6_verify)
 
     return parser
+
+
+def _int_arg(high, low=None):
+    """An argparse type: an integer at most ``high`` (and at least ``low``)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}")
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return parse
 
 
 def _grid_arg(text):

@@ -55,13 +55,39 @@ def _grid(K):
     return np.zeros((K.p_max + 1, K.q_max + 1), dtype=np.int64)
 
 
+def _h(p, q):
+    return (p, q), (p + 1, q)
+
+
+def _v(p, q):
+    return (p, q), (p, q + 1)
+
+
+def _maps(K, *arrows):
+    """The stored matrices of ``arrows``; absent (zero) maps are left out."""
+    return [m for m in (K.arrow(*a) for a in arrows) if m is not None]
+
+
+def _rank(K, arrow):
+    """Rank of one map; zero when it is absent."""
+    m = K.arrow(*arrow)
+    return 0 if m is None else linalg.rank(m)
+
+
+def _composite_rank(K, first, then):
+    """Rank of ``then`` after ``first``; zero unless both maps are stored."""
+    maps = _maps(K, first, then)
+    if len(maps) < 2:
+        return 0
+    return linalg.rank(linalg.mat_mul(maps[1], maps[0]))
+
+
 def dolbeault(K):
     """Vertical-differential cohomology; its entries are the Hodge numbers."""
     require_valid(K)
     g = _grid(K)
     for p, q in K.spots():
-        ker = K.dim(p, q) - linalg.rank(K.dv(p, q))
-        g[p, q] = ker - linalg.rank(K.dv(p, q - 1))
+        g[p, q] = K.dim(p, q) - _rank(K, _v(p, q)) - _rank(K, _v(p, q - 1))
     return CohomologyTable("dolbeault", g)
 
 
@@ -70,8 +96,7 @@ def row_cohomology(K):
     require_valid(K)
     g = _grid(K)
     for p, q in K.spots():
-        ker = K.dim(p, q) - linalg.rank(K.dh(p, q))
-        g[p, q] = ker - linalg.rank(K.dh(p - 1, q))
+        g[p, q] = K.dim(p, q) - _rank(K, _h(p, q)) - _rank(K, _h(p - 1, q))
     return CohomologyTable("row", g)
 
 
@@ -93,10 +118,9 @@ def bott_chern(K):
     require_valid(K)
     g = _grid(K)
     for p, q in K.spots():
-        stacked = linalg.vstack([K.dh(p, q), K.dv(p, q)])
-        closed = K.dim(p, q) - linalg.rank(stacked)
-        corner = linalg.mat_mul(K.dh(p - 1, q), K.dv(p - 1, q - 1))
-        g[p, q] = closed - linalg.rank(corner)
+        out = _maps(K, _h(p, q), _v(p, q))
+        closed = K.dim(p, q) - (linalg.rank(linalg.vstack(out)) if out else 0)
+        g[p, q] = closed - _composite_rank(K, _v(p - 1, q - 1), _h(p - 1, q))
     return CohomologyTable("bott_chern", g)
 
 
@@ -105,9 +129,8 @@ def aeppli(K):
     require_valid(K)
     g = _grid(K)
     for p, q in K.spots():
-        corner = linalg.mat_mul(K.dh(p, q + 1), K.dv(p, q))
-        ker = K.dim(p, q) - linalg.rank(corner)
-        image = linalg.rank_of_columns([K.dh(p - 1, q), K.dv(p, q - 1)])
+        ker = K.dim(p, q) - _composite_rank(K, _v(p, q), _h(p, q + 1))
+        image = linalg.rank_of_columns(_maps(K, _h(p - 1, q), _v(p, q - 1)))
         g[p, q] = ker - image
     return CohomologyTable("aeppli", g)
 

@@ -23,10 +23,22 @@ does not matter.
 ``pages_explicit`` solves instead for chains of existential extensions at
 the spot itself: a class at ``(p, q)`` on page r is a d_v-closed element
 whose horizontal images can be corrected r - 1 times, modulo values of
-staircases arriving from the left.  It builds and solves small systems per
-page and spot and never forms the total complex, so the two methods share
-only the eliminator; they must agree on every valid complex, and the test
-suite enforces this.  ``cohomology.de_rham`` takes its own ranks of the
+staircases arriving from the left.  It builds its small systems from the
+stored arrows only, and it solves one only where the differential
+d_{r-1}: E_{r-1}(p, q) -> E_{r-1}(p + r - 1, q - r + 2) can act.  Page r
+is the cohomology of page r - 1 under d_{r-1} (page 0 is the spots with
+d_0 = d_v), so on the method's own page r - 1:
+
+  (i)  if E_{r-1}(p, q) = 0, then E_r(p, q) = 0, a subquotient of it;
+  (ii) if E_{r-1} is zero at the target (p + r - 1, q - r + 2) and at the
+       source (p - r + 1, q + r - 2), a spot off the grid counting as
+       zero, then d_{r-1} is zero into and out of (p, q) and
+       E_r(p, q) = E_{r-1}(p, q).
+
+Both rules are exact, so skipping the solve changes no entry.  The method
+never forms the total complex, so the two methods share only the
+eliminator; they must agree on every valid complex, and the test suite
+enforces this.  ``cohomology.de_rham`` takes its own ranks of the
 total differentials, so the abutment of the stable page to it is a check
 of the pairing, not a restatement of it.
 
@@ -125,59 +137,74 @@ def pages_filtration(K, r_max):
     return tables
 
 
+def _entry(grid, p, q):
+    """``grid[p, q]``, or 0 off the grid."""
+    P, Q = grid.shape
+    return grid[p, q] if 0 <= p < P and 0 <= q < Q else 0
+
+
+def _system(K, rows, cols):
+    """The stored arrows from the spots ``cols`` into the spots ``rows``.
+
+    One matrix, blocked by the two spot lists; an absent arrow is a zero
+    block, and nothing is built for it.
+    """
+    index = {t: i for i, t in enumerate(rows)}
+    blocks = {}
+    for j, (a, b) in enumerate(cols):
+        for t in ((a + 1, b), (a, b + 1)):
+            m = K.arrow((a, b), t)
+            if m is not None and t in index:
+                blocks[index[t], j] = m
+    return linalg.assemble([K.dim(*t) for t in rows],
+                           [K.dim(*s) for s in cols], blocks)
+
+
 def _explicit_entry(K, p, q, r):
+    """E_r(p, q), solved at the spot itself."""
     if K.dim(p, q) == 0:
         return 0
-    if r == 1:
-        x = linalg.nullspace(K.dv(p, q))
-        y = K.dv(p, q - 1)
-    else:
-        # Representatives: chains (a_0, .., a_{r-1}) at spots (p+i, q-i) with
-        # d_v a_0 = 0 and d_h a_{i-1} + d_v a_i = 0; keep the a_0 block.
-        var = [(p + i, q - i) for i in range(r)]
-        col_dims = [K.dim(*s) for s in var]
-        row_dims = [K.dim(p, q + 1)]
-        blocks = {(0, 0): K.dv(p, q)}
-        for i in range(1, r):
-            row_dims.append(K.dim(p + i, q - i + 1))
-            blocks[(i, i - 1)] = K.dh(p + i - 1, q - i + 1)
-            blocks[(i, i)] = K.dv(p + i, q - i)
-        sol = linalg.nullspace(linalg.assemble(row_dims, col_dims, blocks))
-        x = sol[:K.dim(p, q), :]
-        # Arriving values: d_h b_1 + d_v b_0 over chains (b_0, .., b_{r-1})
-        # at spots (p, q-1), (p-1, q), .., (p-r+1, q+r-2) that continue to
-        # anticommute and close up vertically at the far end.
-        bvar = [(p, q - 1)] + [(p - j, q + j - 1) for j in range(1, r)]
-        bcol = [K.dim(*s) for s in bvar]
-        brow = []
-        bblocks = {}
-        for i in range(2, r):
-            brow.append(K.dim(p - i + 1, q + i - 1))
-            row = len(brow) - 1
-            bblocks[(row, i)] = K.dh(p - i, q + i - 1)
-            bblocks[(row, i - 1)] = K.dv(p - i + 1, q + i - 2)
-        brow.append(K.dim(p - r + 1, q + r - 1))
-        bblocks[(len(brow) - 1, r - 1)] = K.dv(p - r + 1, q + r - 2)
-        bsol = linalg.nullspace(linalg.assemble(brow, bcol, bblocks))
-        value = linalg.assemble([K.dim(p, q)], bcol,
-                                {(0, 0): K.dv(p, q - 1),
-                                 (0, 1): K.dh(p - 1, q)})
-        y = linalg.mat_mul(value, bsol)
-    with_y = linalg.rank_of_columns([x, y])
-    return with_y - linalg.rank(y)
+    # Representatives: chains (a_0, .., a_{r-1}) at spots (p+i, q-i) with
+    # d_v a_0 = 0 and d_h a_{i-1} + d_v a_i = 0; keep the a_0 block.  The
+    # equations sit at the spots just above the chain's, and every arrow
+    # from a chain spot into one of them is a term of its equation.
+    chain = [(p + i, q - i) for i in range(r)]
+    sol = linalg.nullspace(_system(K, [(a, b + 1) for a, b in chain], chain))
+    x = sol[:K.dim(p, q), :]
+    # Arriving values: d_v b_0 + d_h b_1 over chains (b_0, .., b_{r-1}) at
+    # spots (p, q-1), (p-1, q), .., (p-r+1, q+r-2) that continue to
+    # anticommute and close up vertically at the far end.
+    arriving = [(p, q - 1)] + [(p - j, q + j - 1) for j in range(1, r)]
+    y = _system(K, [(p, q)], arriving)
+    if r > 1:
+        closing = [(a, b + 1) for a, b in arriving[1:]]
+        y = linalg.mat_mul(y, linalg.nullspace(_system(K, closing, arriving)))
+    return linalg.rank_of_columns([x, y]) - linalg.rank(y)
 
 
 def pages_explicit(K, r_max):
-    """Page tables r = 1 .. r_max from per-spot representative systems."""
+    """Page tables r = 1 .. r_max from per-spot representative systems.
+
+    Entry (p, q) of page r is copied from page r - 1 (page 0 is the dims
+    grid) when it is zero there (rule i), or when page r - 1 is zero at
+    both the target (p + r - 1, q - r + 2) and the source
+    (p - r + 1, q + r - 2) of d_{r-1} (rule ii); E_r is the cohomology of
+    E_{r-1} under d_{r-1}, so both copies are exact.  Every other entry is
+    solved at its spot.
+    """
     require_valid(K)
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     tables = []
+    prev = K.dims
     for r in range(1, r_max + 1):
-        g = np.zeros((K.p_max + 1, K.q_max + 1), dtype=np.int64)
+        g = prev.copy()
         for p, q in K.spots():
-            g[p, q] = _explicit_entry(K, p, q, r)
+            if g[p, q] and (_entry(prev, p + r - 1, q - r + 2)
+                            or _entry(prev, p - r + 1, q + r - 2)):
+                g[p, q] = _explicit_entry(K, p, q, r)
         tables.append(PageTable(r, g))
+        prev = g
     return tables
 
 

@@ -147,6 +147,30 @@ def test_tables_bounded_by_dims():
                 assert 0 <= table.entry(p, q) <= K.dim(p, q)
 
 
+def test_theories_never_touch_absent_maps(monkeypatch):
+    # Absent maps are zero; multiplying them as dense zero matrices made
+    # Bott-Chern and Aeppli cubic in the spot dimensions, and ranking them
+    # was wasted work.
+    rank = linalg.rank
+
+    def refuse(a, b):
+        raise AssertionError("multiplied an absent map")
+
+    def rank_stored(a, profile=False):
+        assert not linalg.is_zero(a), "ranked an absent map"
+        return rank(a, profile)
+
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    monkeypatch.setattr(linalg, "rank", rank_stored)
+    big = DoubleComplex(1, 1, [[1000, 1000], [1000, 1000]])
+    for theory in (dolbeault, row_cohomology, bott_chern, aeppli):
+        assert theory(big).grid.tolist() == [[1000, 1000], [1000, 1000]]
+    # One stored arrow: ranked, but it composes with nothing.
+    K = shape_complex([(0, 1), (1, 1)])
+    assert bott_chern(K).grid.sum() == 1 and aeppli(K).grid.sum() == 1
+    assert dolbeault(K).grid.sum() == 2 and row_cohomology(K).grid.sum() == 0
+
+
 def test_invalid_complex_rejected():
     dims = np.ones((2, 1), dtype=np.int64) * 2
     bad = DoubleComplex(1, 0, dims, d_horiz={(0, 0): linalg.identity(1)})

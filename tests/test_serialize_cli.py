@@ -9,7 +9,7 @@ import pytest
 
 from frolicher import linalg
 from frolicher.bicomplex import DoubleComplex
-from frolicher.cli import main
+from frolicher.cli import MAX_BOUND, main
 from frolicher.s6 import DiamondParams, realize_model
 from frolicher.serialize import (MAX_SIZE, ParseError, complex_to_json,
                                  doc_to_complex, fraction_to_str,
@@ -207,6 +207,21 @@ def test_cli_pages_rejects_bad_max(tmp_path, capsys):
     assert main(["pages", path, "--max", "0"]) == 1
 
 
+def usage_error(capsys, argv):
+    """Exit code and stderr of an argument that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_cli_pages_rejects_max_above_max_size(tmp_path, capsys):
+    path = write_etesi(tmp_path)
+    code, err = usage_error(capsys, ["pages", path, "--max", "1000000000"])
+    assert code == 2
+    assert f"at most {MAX_SIZE}" in err
+    assert main(["pages", path, "--max", str(MAX_SIZE)]) == 0
+
+
 def test_cli_zigzag_profile(capsys):
     assert main(["zigzag", "profile", "--dots", "(0,1),(1,1)"]) == 0
     out = capsys.readouterr().out
@@ -288,6 +303,27 @@ def test_cli_s6_enumerate(capsys):
                      "h10=1 h02=0 h11=0 alpha=1 beta=0"]
     assert main(["s6", "enumerate", "--bound", "1", "--format", "table"]) == 0
     assert "h10" in capsys.readouterr().out
+
+
+def test_cli_s6_enumerate_caps_bound(capsys):
+    for bound in (str(MAX_BOUND + 1), "1000000000", "-1"):
+        code, err = usage_error(capsys, ["s6", "enumerate", "--bound", bound])
+        assert code == 2
+        assert "--bound: must be at" in err
+
+
+def test_cli_s6_realize_and_verify_reject_oversized_models(tmp_path,
+                                                           capsys):
+    out = tmp_path / "model.json"
+    for command, h11 in (("realize", 10 ** 8), ("verify", 600)):
+        argv = ["s6", command, "--h10", "0", "--h02", "0", "--h11", str(h11),
+                "--alpha", "0", "--beta", "0"]
+        if command == "realize":
+            argv += ["-o", str(out)]
+        code, err = usage_error(capsys, argv)
+        assert code == 2
+        assert f"at most {MAX_SIZE} is allowed" in err
+    assert not out.exists()
 
 
 def test_cli_s6_realize_pages_match_prediction(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from frolicher.bicomplex import DoubleComplex, InvalidComplexError
 from frolicher.cohomology import de_rham, dolbeault
 from frolicher.s6 import DiamondParams, realize_model
-from frolicher.spectral import (PageTable, degeneration_page,
+from frolicher.spectral import (PageTable, _explicit_entry, degeneration_page,
                                 euler_char_of_page, pages_explicit,
                                 pages_filtration, stable_page_index)
 from frolicher.zigzag import canonicalize_shape, enumerate_shapes, realize_shape
@@ -146,6 +146,48 @@ def test_pages_ignore_the_basis_within_each_spot():
         for a, b in zip(pages_filtration(K, r), pages_filtration(scrambled, r)):
             assert a == b
         assert degeneration_page(scrambled) == degeneration_page(K)
+
+
+def at(grid, p, q):
+    P, Q = grid.shape
+    return int(grid[p, q]) if 0 <= p < P and 0 <= q < Q else 0
+
+
+def rule_filled(K, tables):
+    """The entries ``(p, q, r)`` that pages_explicit reads off page r - 1.
+
+    Rule (i): a zero on page r - 1 stays zero.  Rule (ii): an entry whose
+    d_{r-1} target and source are zero on page r - 1 is kept.  Page 0 is
+    the dims grid.
+    """
+    prev = K.dims
+    for t in tables:
+        r = t.r
+        for p, q in K.spots():
+            if not (prev[p, q] and (at(prev, p + r - 1, q - r + 2)
+                                    or at(prev, p - r + 1, q + r - 2))):
+                yield p, q, r
+        prev = t.grid
+
+
+def test_skip_rules_are_sound():
+    rng = random.Random(16)
+    complexes = [realize_shape(s, (3, 3)) for s in enumerate_shapes((3, 3), 6)]
+    complexes += [random_complex(rng, 2 + i % 3, 2 + (i // 3) % 3,
+                                 rational=(i % 3 == 0)) for i in range(24)]
+    complexes += [realize_model(DiamondParams(*d)) for d in
+                  ((0, 0, 1, 0, 0), (1, 0, 0, 1, 0), (0, 1, 1, 1, 1),
+                   (0, 1, 0, 2, 1), (1, 2, 2, 2, 2))]
+    zero = kept = 0
+    for K in complexes:
+        tables = pages_explicit(K, stable_page_index(K) + 1)
+        for p, q, r in rule_filled(K, tables):
+            entry = tables[r - 1].entry(p, q)
+            assert entry == _explicit_entry(K, p, q, r), (p, q, r)
+            zero += entry == 0
+            kept += entry > 0
+    # Both rules fire, rule (ii) also on nonzero entries.
+    assert zero > 1000 and kept > 100
 
 
 def test_rejects_bad_arguments():

@@ -1,4 +1,4 @@
-"""Property tests of the barcode pages on random valid complexes."""
+"""Property tests of the pages on random valid complexes."""
 
 import random
 
@@ -6,7 +6,8 @@ import pytest
 
 from frolicher.cohomology import de_rham
 from frolicher.spectral import (degeneration_page, euler_char_of_page,
-                                pages_filtration, stable_page_index)
+                                pages_explicit, pages_filtration,
+                                stable_page_index)
 from genutil import random_complex
 
 pytest.importorskip("hypothesis")
@@ -20,6 +21,7 @@ def test_pages_shrink_keep_euler_and_abut(seed, p_max, q_max, rational):
     K = random_complex(random.Random(seed), p_max, q_max, max_shapes=5,
                        n_squares=2, rational=rational)
     tables = pages_filtration(K, stable_page_index(K) + 1)
+    assert pages_explicit(K, len(tables)) == tables
     chi = euler_char_of_page(tables[0])
     for earlier, later in zip(tables, tables[1:]):
         assert (later.grid <= earlier.grid).all()
