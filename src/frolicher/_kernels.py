@@ -1,8 +1,9 @@
 """The exact eliminator: fraction-free Gauss-Jordan over sparse integer rows.
 
-A row is a dict from column index to a nonzero entry.  Input rows (of int
-and ``fractions.Fraction`` entries) have their denominators cleared row by
-row and are inserted one at a time.  Each new row is first reduced
+A row is a mapping from column index to a nonzero entry; input rows are
+the rows of a ``linalg.Matrix`` as stored.  Input rows (of int and
+``fractions.Fraction`` entries) have their denominators cleared row by row
+and are inserted one at a time.  Each new row is first reduced
 against the pivot rows it is nonzero in; what is left, if anything, becomes a
 pivot row at its leading column and is cleared from the earlier pivot rows
 that are nonzero in that column.  Every combination ``a*row - b*pivot`` uses
@@ -60,12 +61,12 @@ def _clear(row, col, pivot):
 def eliminate(rows):
     """Reduced echelon form of ``rows``; returns ``(pivots, reduced, origins)``.
 
-    Each input row is a dict from column index to a nonzero int or
+    Each input row is a mapping from column index to a nonzero int or
     ``Fraction``; an empty row creates no pivot.  The input is not modified.
 
     ``pivots`` lists the pivot columns in increasing order and
     ``reduced[i]`` is the pivot row of ``pivots[i]``: a primitive integer
-    dict with a positive entry at its pivot, zero in every other pivot
+    mapping with a positive entry at its pivot, zero in every other pivot
     column and in every column left of its pivot.  ``origins[i]`` is the
     position in ``rows`` of the input row that created ``pivots[i]``.
     """

@@ -20,8 +20,6 @@ Values are immutable once built; every operation here is a pure function.
 from dataclasses import dataclass
 from types import MappingProxyType
 
-import numpy as np
-
 from . import linalg
 
 
@@ -50,10 +48,13 @@ class InvalidComplexError(ValueError):
 class DoubleComplex:
     """Candidate double complex; run :func:`validate` to check the axioms.
 
-    ``dims`` is indexable as ``dims[p, q]``; ``d_horiz`` / ``d_vert`` map
-    ``(p, q)`` to the matrices of int/Fraction out of ``(p, q)``.  The
-    constructor files each one, as a frozen copy, in a read-only arrow table
-    keyed by ``(source, target)`` and sorted.  It accepts matrices of any
+    ``dims`` is a grid of ints indexable as ``dims[p, q]`` (nested sequences
+    or anything with ``tolist()``), stored as a :class:`.linalg.Grid`;
+    ``d_horiz`` / ``d_vert`` map ``(p, q)`` to the matrices of int/Fraction
+    out of ``(p, q)``, each a :class:`.linalg.Matrix` or anything
+    :func:`.linalg.as_matrix` reads.  The constructor files them, as
+    immutable matrices, in a read-only arrow table keyed by
+    ``(source, target)`` and sorted.  It accepts matrices of any
     shape, so that validation can report problems instead of refusing to
     represent them; a zero matrix of the correct shape on the grid (every
     map touching a zero-dimensional spot is one) is the absent arrow and is
@@ -65,30 +66,23 @@ class DoubleComplex:
     def __init__(self, p_max, q_max, dims, d_horiz=None, d_vert=None):
         if p_max < 0 or q_max < 0:
             raise ValueError("grid bounds must be non-negative")
-        grid = np.asarray(dims, dtype=np.int64)
+        grid = linalg.Grid(dims)
         if grid.shape != (p_max + 1, q_max + 1):
             raise ValueError(f"dims grid has shape {grid.shape}, "
                              f"expected {(p_max + 1, q_max + 1)}")
-        if (grid < 0).any():
+        if any(x < 0 for row in grid for x in row):
             raise ValueError("spot dimensions must be non-negative")
-        grid = grid.copy()
-        grid.flags.writeable = False
         self.p_max = int(p_max)
         self.q_max = int(q_max)
         self.dims = grid
         arrows = {}
         for (dp, dq), maps in (((1, 0), d_horiz or {}), ((0, 1), d_vert or {})):
             for (p, q), m in maps.items():
-                m = np.asarray(m)
-                if m.ndim != 2:
-                    raise ValueError(f"map at ({p},{q}) is not a matrix")
-                # A frozen copy: the caller's array must not reach the value.
-                m = linalg.from_rows(*m.shape, m.tolist())
-                m.flags.writeable = False
+                m = linalg.as_matrix(m)
                 s, t = (int(p), int(q)), (int(p) + dp, int(q) + dq)
                 if not (_on_grid(self, s, t)
                         and m.shape == (self.dim(*t), self.dim(*s))
-                        and linalg.is_zero(m)):
+                        and not m.any()):
                     arrows[s, t] = m
         self._arrows = MappingProxyType(dict(sorted(arrows.items())))
         self._report = None
@@ -96,7 +90,7 @@ class DoubleComplex:
     def dim(self, p, q):
         """Dimension at ``(p, q)``; spots outside the grid are zero."""
         if 0 <= p <= self.p_max and 0 <= q <= self.q_max:
-            return int(self.dims[p, q])
+            return self.dims[p, q]
         return 0
 
     def dh(self, p, q):
@@ -135,16 +129,14 @@ class DoubleComplex:
                 yield p, q
 
     def total_dim(self):
-        return int(self.dims.sum())
+        return sum(map(sum, self.dims))
 
     def __eq__(self, other):
         if not isinstance(other, DoubleComplex):
             return NotImplemented
         return ((self.p_max, self.q_max) == (other.p_max, other.q_max)
-                and bool(np.array_equal(self.dims, other.dims))
-                and self._arrows.keys() == other._arrows.keys()
-                and all(linalg.mat_eq(m, other._arrows[a])
-                        for a, m in self._arrows.items()))
+                and self.dims == other.dims
+                and self._arrows == other._arrows)
 
     __hash__ = None
 
@@ -165,8 +157,7 @@ def _from_arrows(p_max, q_max, dims, arrows):
 
 
 def empty_complex(p_max, q_max):
-    return DoubleComplex(p_max, q_max,
-                         np.zeros((p_max + 1, q_max + 1), dtype=np.int64))
+    return DoubleComplex(p_max, q_max, [[0] * (q_max + 1)] * (p_max + 1))
 
 
 def validate(K):
@@ -201,10 +192,14 @@ def validate(K):
         arrows = [a for s, t, u in paths for a in ((s, t), (t, u))]
         if not bad.isdisjoint(arrows):
             return
-        terms = [linalg.mat_mul(K._arrows[t, u], K._arrows[s, t])
-                 for s, t, u in paths
-                 if (s, t) in K._arrows and (t, u) in K._arrows]
-        if terms and not linalg.is_zero(sum(terms)):
+        stored = [(K._arrows[t, u], K._arrows[s, t]) for s, t, u in paths
+                  if (s, t) in K._arrows and (t, u) in K._arrows]
+        if not stored:
+            return
+        # The sum of the products is one product of stacked maps.
+        total = linalg.mat_mul(linalg.hstack([a for a, _ in stored]),
+                               linalg.vstack([b for _, b in stored]))
+        if total.any():
             out.append(Violation(*paths[0][0], axiom, detail))
 
     for p, q in K.spots():
@@ -232,9 +227,8 @@ def direct_sum(K1, K2):
     require_valid(K2)
     p_max = max(K1.p_max, K2.p_max)
     q_max = max(K1.q_max, K2.q_max)
-    dims = np.zeros((p_max + 1, q_max + 1), dtype=np.int64)
-    dims[:K1.p_max + 1, :K1.q_max + 1] += K1.dims
-    dims[:K2.p_max + 1, :K2.q_max + 1] += K2.dims
+    dims = [[K1.dim(p, q) + K2.dim(p, q) for q in range(q_max + 1)]
+            for p in range(p_max + 1)]
     arrows = {}
     for s, t in K1._arrows.keys() | K2._arrows.keys():
         blocks = {(i, i): K._arrows[s, t]
@@ -253,7 +247,7 @@ def dual(K):
     """
     require_valid(K)
     P, Q = K.p_max, K.q_max
-    return _from_arrows(P, Q, K.dims[::-1, ::-1],
+    return _from_arrows(P, Q, [row[::-1] for row in K.dims][::-1],
                         {((P - t[0], Q - t[1]), (P - s[0], Q - s[1])): m.T
                          for (s, t), m in K.stored_maps()})
 
@@ -261,7 +255,7 @@ def dual(K):
 def conjugate(K):
     """Swap the two gradings and the two differentials."""
     require_valid(K)
-    return _from_arrows(K.q_max, K.p_max, K.dims.T,
+    return _from_arrows(K.q_max, K.p_max, list(zip(*K.dims)),
                         {(s[::-1], t[::-1]): m
                          for (s, t), m in K.stored_maps()})
 

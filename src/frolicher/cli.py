@@ -276,7 +276,7 @@ def build_parser():
 
     def add_params(q):
         for name in ("h10", "h02", "h11", "alpha", "beta"):
-            q.add_argument(f"--{name}", type=int, required=True)
+            q.add_argument(f"--{name}", type=_int_arg(low=0), required=True)
         q.set_defaults(parser=q)
 
     p = s6sub.add_parser("check", help="constraint report for one tuple")
@@ -312,14 +312,14 @@ def build_parser():
     return parser
 
 
-def _int_arg(high, low=None):
-    """An argparse type: an integer at most ``high`` (and at least ``low``)."""
+def _int_arg(high=None, low=None):
+    """An argparse type: an integer at most ``high`` and at least ``low``."""
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-        if value > high:
+        if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"must be at most {high}")
         if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}")

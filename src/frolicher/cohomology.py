@@ -9,8 +9,6 @@ harmonic representatives.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .bicomplex import degree_spots, require_valid, total_differential
 
@@ -19,22 +17,18 @@ THEORIES = ("dolbeault", "row", "bott_chern", "aeppli")
 
 @dataclass(frozen=True)
 class CohomologyTable:
-    """Grid of dimensions for one theory, indexed as ``grid[p, q]``."""
+    """Frozen grid of dimensions for one theory, indexed as ``grid[p, q]``."""
     theory: str
-    grid: np.ndarray
+    grid: linalg.Grid
 
     def __post_init__(self):
         if self.theory not in THEORIES:
             raise ValueError(f"unknown theory {self.theory!r}")
-        self.grid.flags.writeable = False
+        if not isinstance(self.grid, linalg.Grid):
+            object.__setattr__(self, "grid", linalg.Grid(self.grid))
 
     def entry(self, p, q):
-        return int(self.grid[p, q])
-
-    def __eq__(self, other):
-        return (isinstance(other, CohomologyTable)
-                and self.theory == other.theory
-                and np.array_equal(self.grid, other.grid))
+        return self.grid[p, q]
 
     __hash__ = None
 
@@ -52,7 +46,7 @@ class BettiVector:
 
 
 def _grid(K):
-    return np.zeros((K.p_max + 1, K.q_max + 1), dtype=np.int64)
+    return [[0] * (K.q_max + 1) for _ in range(K.p_max + 1)]
 
 
 def _h(p, q):
@@ -79,7 +73,8 @@ def _composite_rank(K, first, then):
     maps = _maps(K, first, then)
     if len(maps) < 2:
         return 0
-    return linalg.rank(linalg.mat_mul(maps[1], maps[0]))
+    product = linalg.mat_mul(maps[1], maps[0])
+    return linalg.rank(product) if product.any() else 0
 
 
 def dolbeault(K):
@@ -87,7 +82,7 @@ def dolbeault(K):
     require_valid(K)
     g = _grid(K)
     for p, q in K.spots():
-        g[p, q] = K.dim(p, q) - _rank(K, _v(p, q)) - _rank(K, _v(p, q - 1))
+        g[p][q] = K.dim(p, q) - _rank(K, _v(p, q)) - _rank(K, _v(p, q - 1))
     return CohomologyTable("dolbeault", g)
 
 
@@ -96,7 +91,7 @@ def row_cohomology(K):
     require_valid(K)
     g = _grid(K)
     for p, q in K.spots():
-        g[p, q] = K.dim(p, q) - _rank(K, _h(p, q)) - _rank(K, _h(p - 1, q))
+        g[p][q] = K.dim(p, q) - _rank(K, _h(p, q)) - _rank(K, _h(p - 1, q))
     return CohomologyTable("row", g)
 
 
@@ -104,7 +99,8 @@ def de_rham(K):
     """Betti numbers of the total complex with differential d_h + d_v."""
     require_valid(K)
     n = K.p_max + K.q_max
-    ranks = [linalg.rank(total_differential(K, k)) for k in range(n + 1)]
+    maps = [total_differential(K, k) for k in range(n + 1)]
+    ranks = [linalg.rank(d) if d.any() else 0 for d in maps]
     b = []
     for k in range(n + 1):
         total = sum(K.dim(p, q) for p, q in degree_spots(K, k))
@@ -120,7 +116,7 @@ def bott_chern(K):
     for p, q in K.spots():
         out = _maps(K, _h(p, q), _v(p, q))
         closed = K.dim(p, q) - (linalg.rank(linalg.vstack(out)) if out else 0)
-        g[p, q] = closed - _composite_rank(K, _v(p - 1, q - 1), _h(p - 1, q))
+        g[p][q] = closed - _composite_rank(K, _v(p - 1, q - 1), _h(p - 1, q))
     return CohomologyTable("bott_chern", g)
 
 
@@ -130,8 +126,9 @@ def aeppli(K):
     g = _grid(K)
     for p, q in K.spots():
         ker = K.dim(p, q) - _composite_rank(K, _v(p, q), _h(p, q + 1))
-        image = linalg.rank_of_columns(_maps(K, _h(p - 1, q), _v(p, q - 1)))
-        g[p, q] = ker - image
+        into = _maps(K, _h(p - 1, q), _v(p, q - 1))
+        image = linalg.rank_of_columns(into) if into else 0
+        g[p][q] = ker - image
     return CohomologyTable("aeppli", g)
 
 

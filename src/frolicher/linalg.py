@@ -1,75 +1,208 @@
-"""Exact linear algebra over the rationals, numpy-backed.
+"""Exact linear algebra over the rationals, in pure Python.
 
-Matrices are 2-D numpy arrays of dtype ``object`` holding Python ints and
-``fractions.Fraction``, treated as immutable values.  There is one
-representation and one eliminator (:func:`._kernels.eliminate`): ranks and
-kernels are read off the same fraction-free reduced echelon form, so every
-result is exact and no integer can overflow.  The eliminator also reports
-the input row behind each pivot, which ``rank(a, profile=True)`` returns as
-the rank profile; the spectral pages read their persistence pairing from it.
+A :class:`Matrix` is an immutable shape plus one read-only ``{column:
+nonzero}`` mapping per row, of Python ints and ``fractions.Fraction``;
+products, assembly, stacking, transposes and row slices visit stored entries
+only.  A :class:`Grid` is an immutable rectangle of ints: dims and tables.
+One eliminator (:func:`._kernels.eliminate`) reads the stored rows: ranks
+and kernels come from one fraction-free reduced echelon form, so results are
+exact and nothing overflows.  It also reports the input row behind each
+pivot, which ``rank(a, profile=True)`` returns as the rank profile; the
+spectral pages read their persistence pairing from it.
 """
 
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-
-import numpy as np
+from numbers import Integral
+from operator import index
+from types import MappingProxyType
 
 from ._kernels import eliminate
 
+_EMPTY = MappingProxyType({})
+_set = object.__setattr__
+# Tuples are built from lists, not generators: a tuple grown from a generator
+# is resized from a guessed length, and dies onto the interpreter's free list
+# of another length, which then fills up with megabytes of dead tuples.
+
+
+class _Immutable:
+    """A ``shape``d value whose attributes only the constructor sets."""
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def size(self):
+        return self.shape[0] * self.shape[1]
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.tolist()!r})"
+
+
+class Matrix(_Immutable):
+    """``Matrix(shape, rows)`` owns ``rows``: one dict per row from column
+    to nonzero int or ``Fraction`` (:func:`from_rows` takes dense entries).
+
+    ``m[i, j]`` is an entry and ``m[a:b]`` the matrix of those rows; ``ndim``,
+    ``size``, ``dtype`` (``object``, as the entries are Python objects),
+    ``any()`` and ``tolist()`` read as on a 2-D array.
+    """
+
+    __slots__ = ("shape", "rows")
+    ndim = 2
+    dtype = object
+
+    def __init__(self, shape, rows):
+        _set(self, "shape", tuple(shape))
+        _set(self, "rows", tuple([MappingProxyType(r) if r else _EMPTY
+                                  for r in rows]))
+
+    @classmethod
+    def _of(cls, shape, rows):
+        """A matrix sharing already frozen ``rows``."""
+        m = object.__new__(cls)
+        _set(m, "shape", shape)
+        _set(m, "rows", rows)
+        return m
+
+    def any(self):
+        """Whether some entry is nonzero."""
+        return any(self.rows)
+
+    def tolist(self):
+        cols = range(self.shape[1])
+        return [[row.get(j, 0) for j in cols] for row in self.rows]
+
+    @property
+    def T(self):
+        """The transpose."""
+        cols = [{} for _ in range(self.shape[1])]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return Matrix(self.shape[::-1], cols)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            rows = self.rows[key]
+            return Matrix._of((len(rows), self.shape[1]), rows)
+        i, j = key
+        return self.rows[i].get(range(self.shape[1])[j], 0)
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.shape == other.shape and self.rows == other.rows
+
+
+class Grid(_Immutable):
+    """An immutable rectangle of ints, indexed as ``grid[p, q]``.
+
+    Built from nested sequences of integers or anything with ``tolist()``;
+    iterating it yields the rows ``grid[p, :]`` as tuples.
+    """
+
+    __slots__ = ("shape", "_cells")
+
+    def __init__(self, cells):
+        if hasattr(cells, "tolist"):
+            cells = cells.tolist()
+        cells = tuple([tuple([index(x) for x in row]) for row in cells])
+        widths = {len(row) for row in cells}
+        if len(widths) > 1:
+            raise ValueError("grid rows differ in length")
+        _set(self, "_cells", cells)
+        _set(self, "shape", (len(cells), widths.pop() if widths else 0))
+
+    def tolist(self):
+        return [list(row) for row in self._cells]
+
+    def __iter__(self):
+        return iter(self._cells)
+
+    def __getitem__(self, key):
+        p, q = key
+        return self._cells[p][q]
+
+    def __eq__(self, other):
+        if not isinstance(other, Grid):
+            return NotImplemented
+        return self._cells == other._cells
+
 
 def from_rows(rows, cols, entries):
-    """Build a matrix from an iterable of row iterables of int/Fraction."""
-    data = [[x if type(x) is int else _coerce(x) for x in row]
-            for row in entries]
-    if len(data) != rows or any(len(r) != cols for r in data):
+    """Build a matrix from row iterables of int/Fraction (or ``tolist()``)."""
+    if hasattr(entries, "tolist"):
+        entries = entries.tolist()
+    entries = [list(row) for row in entries]
+    if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("entry grid does not match the declared shape")
-    return np.array(data, dtype=object).reshape(rows, cols)
+    return Matrix((rows, cols), [{j: x for j, x in enumerate(map(_coerce, r))
+                                  if x} for r in entries])
+
+
+def as_matrix(m):
+    """``m`` if it is a :class:`Matrix`, else a matrix of its entries: nested
+    rows, or any 2-D array-like value with ``shape`` and ``tolist()``."""
+    if isinstance(m, Matrix):
+        return m
+    rows = m.tolist() if hasattr(m, "tolist") else [list(r) for r in m]
+    shape = getattr(m, "shape", None) or (len(rows), len(rows and rows[0]))
+    if len(shape) != 2:
+        raise ValueError("not a matrix")
+    return from_rows(*shape, rows)
 
 
 def _coerce(x):
-    if isinstance(x, (int, np.integer)):
-        return int(x)
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
+    if isinstance(x, Integral):
+        return int(x)
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x)!r}")
 
 
 def zeros(rows, cols):
-    return np.zeros((rows, cols), dtype=object)
+    return Matrix._of((rows, cols), (_EMPTY,) * rows)
 
 
 def identity(n):
-    return np.eye(n, dtype=object)
-
-
-def transpose(a):
-    return a.T.copy()
-
-
-def is_zero(a):
-    return a.size == 0 or not a.any()
-
-
-def mat_eq(a, b):
-    return a.shape == b.shape and bool(np.array_equal(a, b))
+    return Matrix((n, n), [{i: 1} for i in range(n)])
 
 
 def mat_mul(a, b):
     """Exact product."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-        return zeros(a.shape[0], b.shape[1])
-    return np.dot(a, b)
+    brows = b.rows
+    out = []
+    for row in a.rows:
+        acc = {}
+        for k, x in row.items():
+            for j, y in brows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return Matrix((a.shape[0], b.shape[1]), out)
 
 
 def hstack(mats):
-    return np.hstack(mats)
+    return assemble([mats[0].shape[0]], [m.shape[1] for m in mats],
+                    {(0, j): m for j, m in enumerate(mats)})
 
 
 def vstack(mats):
-    return np.vstack(mats)
+    cols = {m.shape[1] for m in mats}
+    if len(cols) != 1:
+        raise ValueError(f"cannot stack column counts {sorted(cols)}")
+    rows = tuple([r for m in mats for r in m.rows])
+    return Matrix._of((len(rows), cols.pop()), rows)
 
 
 def assemble(row_dims, col_dims, blocks):
@@ -77,26 +210,18 @@ def assemble(row_dims, col_dims, blocks):
 
     ``row_dims`` / ``col_dims`` are the block partition sizes.
     """
-    out = zeros(sum(row_dims), sum(col_dims))
     roff = [0, *accumulate(row_dims)]
     coff = [0, *accumulate(col_dims)]
+    rows = [{} for _ in range(roff[-1])]
     for (i, j), blk in blocks.items():
         if blk.shape != (row_dims[i], col_dims[j]):
             raise ValueError(f"block {(i, j)} has shape {blk.shape}, "
                              f"expected {(row_dims[i], col_dims[j])}")
-        if blk.size:
-            out[roff[i]:roff[i + 1], coff[j]:coff[j + 1]] = blk
-    return out
-
-
-def _rows(a):
-    """The rows of ``a`` as dicts from column index to nonzero entry."""
-    rows = [{} for _ in range(a.shape[0])]
-    if a.size:
-        ii, jj = a.nonzero()
-        for i, j, x in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
-            rows[i][j] = x
-    return rows
+        c = coff[j]
+        for out, row in zip(rows[roff[i]:roff[i + 1]], blk.rows):
+            for k, x in row.items():
+                out[c + k] = x
+    return Matrix((roff[-1], coff[-1]), rows)
 
 
 def rank(a, profile=False):
@@ -108,7 +233,7 @@ def rank(a, profile=False):
     ``column``.  ``rank(a[:i, :j])`` is the number of pairs with
     ``row < i`` and ``column < j``.
     """
-    pivots, _, origins = eliminate(_rows(a))
+    pivots, _, origins = eliminate(a.rows)
     if profile:
         return list(zip(origins, pivots))
     return len(pivots)
@@ -123,28 +248,25 @@ def nullspace(a):
     ``f``.
     """
     n = a.shape[1]
-    pivots, reduced, _ = eliminate(_rows(a))
+    pivots, reduced, _ = eliminate(a.rows)
     pivset = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivset:
-            continue
+    free = [f for f in range(n) if f not in pivset]
+    rows = [{} for _ in range(n)]
+    for k, f in enumerate(free):
         hits = [(c, row) for c, row in zip(pivots, reduced) if f in row]
         scale = lcm(*(row[c] for c, row in hits))
-        v = [0] * n
-        v[f] = scale
+        v = {f: scale}
         for c, row in hits:
             v[c] = -row[f] * (scale // row[c])
-        g = gcd(*v)
-        basis.append([x // g for x in v])
-    if not basis:
-        return zeros(n, 0)
-    return np.array(basis, dtype=object).T
+        g = gcd(*v.values())
+        for i, x in v.items():
+            rows[i][k] = x // g
+    return Matrix((n, len(free)), rows)
 
 
 def rank_of_columns(mats):
     """Rank of the column span of several matrices side by side."""
-    mats = [m for m in mats if m.shape[1] > 0]
+    mats = [m for m in mats if m.any()]
     if not mats:
         return 0
     return rank(hstack(mats)) if len(mats) > 1 else rank(mats[0])

@@ -20,10 +20,9 @@ reproduce the closed-form predictions entry for entry.
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cohomology import (BettiVector, CohomologyTable, aeppli,
                          arithmetic_genus, bott_chern, de_rham)
+from .linalg import Grid
 from .spectral import PageTable, pages_filtration, stable_page_index
 from .zigzag import canonicalize_shape, mirror_shape, synthesize
 
@@ -249,39 +248,32 @@ def predicted_tables(d):
     report = check_constraints(d)
     if not report.all_hold:
         raise InadmissibleParamsError(report)
-    e1 = np.zeros((4, 4), dtype=np.int64)
-    for (p, q), v in {
-            (0, 0): 1, (1, 0): d.h10, (2, 0): d.h20, (3, 0): 0,
-            (0, 1): d.h01, (1, 1): d.h11, (2, 1): d.h12, (3, 1): d.h02,
-            (0, 2): d.h02, (1, 2): d.h12, (2, 2): d.h11, (3, 2): d.h01,
-            (0, 3): 0, (1, 3): d.h20, (2, 3): d.h10, (3, 3): 1}.items():
-        e1[p, q] = v
-    e2 = np.zeros((4, 4), dtype=np.int64)
-    e2[0, 0] = e2[3, 3] = 1
-    for p, q in ((0, 1), (2, 0), (1, 3), (3, 2)):
-        e2[p, q] = d.alpha
-    for p, q in ((0, 2), (2, 1), (1, 2), (3, 1)):
-        e2[p, q] = d.beta
-    e3 = np.zeros((4, 4), dtype=np.int64)
-    e3[0, 0] = e3[3, 3] = 1
+    def grid(entries):
+        return Grid([[entries.get((p, q), 0) for q in range(4)]
+                     for p in range(4)])
+
+    e1 = grid({
+        (0, 0): 1, (1, 0): d.h10, (2, 0): d.h20, (3, 0): 0,
+        (0, 1): d.h01, (1, 1): d.h11, (2, 1): d.h12, (3, 1): d.h02,
+        (0, 2): d.h02, (1, 2): d.h12, (2, 2): d.h11, (3, 2): d.h01,
+        (0, 3): 0, (1, 3): d.h20, (2, 3): d.h10, (3, 3): 1})
+    e2 = grid({(0, 0): 1, (3, 3): 1,
+               **dict.fromkeys(((0, 1), (2, 0), (1, 3), (3, 2)), d.alpha),
+               **dict.fromkeys(((0, 2), (2, 1), (1, 2), (3, 1)), d.beta)})
+    e3 = grid({(0, 0): 1, (3, 3): 1})
 
     h21bc = d.h12 + d.beta
-    bc = np.zeros((4, 4), dtype=np.int64)
-    for (p, q), v in {
-            (0, 0): 1, (1, 0): 0, (0, 1): 0,
-            (2, 0): d.h20, (0, 2): d.h20,
-            (1, 1): 2 * d.h01,
-            (3, 0): 0, (0, 3): 0,
-            (2, 1): h21bc, (1, 2): h21bc,
-            (3, 1): d.h02, (1, 3): d.h02,
-            (2, 2): 2 * h21bc - 2 * d.h01 + 2,
-            (3, 2): d.h02 + 1 + d.h20, (2, 3): d.h02 + 1 + d.h20,
-            (3, 3): 1}.items():
-        bc[p, q] = v
-    ae = np.zeros((4, 4), dtype=np.int64)
-    for p in range(4):
-        for q in range(4):
-            ae[p, q] = bc[3 - q, 3 - p]
+    bc = grid({
+        (0, 0): 1, (1, 0): 0, (0, 1): 0,
+        (2, 0): d.h20, (0, 2): d.h20,
+        (1, 1): 2 * d.h01,
+        (3, 0): 0, (0, 3): 0,
+        (2, 1): h21bc, (1, 2): h21bc,
+        (3, 1): d.h02, (1, 3): d.h02,
+        (2, 2): 2 * h21bc - 2 * d.h01 + 2,
+        (3, 2): d.h02 + 1 + d.h20, (2, 3): d.h02 + 1 + d.h20,
+        (3, 3): 1})
+    ae = grid({(p, q): bc[3 - q, 3 - p] for p in range(4) for q in range(4)})
     return PredictedTables(
         e1=PageTable(1, e1),
         e2=PageTable(2, e2),
@@ -332,8 +324,8 @@ def model_mismatches(d, got):
     def diff_grid(name, expected, actual):
         for p in range(4):
             for q in range(4):
-                e = int(expected[p, q])
-                a = int(actual[p, q])
+                e = expected[p, q]
+                a = actual[p, q]
                 if e != a:
                     mismatches.append(
                         f"{name} at ({p},{q}): expected {e}, computed {a}")
@@ -359,13 +351,12 @@ def infer_params(e1, e2):
     tuple; the first inconsistent spot (tables scanned E1 then E2, spots in
     lexicographic (p, q) order) raises :class:`InferenceMismatchError`.
     """
-    g1 = np.asarray(e1.grid if isinstance(e1, PageTable) else e1, dtype=np.int64)
-    g2 = np.asarray(e2.grid if isinstance(e2, PageTable) else e2, dtype=np.int64)
+    g1 = Grid(e1.grid if isinstance(e1, PageTable) else e1)
+    g2 = Grid(e2.grid if isinstance(e2, PageTable) else e2)
     if g1.shape != (4, 4) or g2.shape != (4, 4):
         raise InferenceMismatchError(
             f"tables must be 4x4 grids, got {g1.shape} and {g2.shape}")
-    values = (int(g1[1, 0]), int(g1[0, 2]), int(g1[1, 1]),
-              int(g2[0, 1]), int(g2[0, 2]))
+    values = (g1[1, 0], g1[0, 2], g1[1, 1], g2[0, 1], g2[0, 2])
     try:
         d = DiamondParams(*values)
     except ValueError as exc:
@@ -381,8 +372,8 @@ def infer_params(e1, e2):
                                    ("E2", pred.e2.grid, g2)):
         for p in range(4):
             for q in range(4):
-                if int(expected[p, q]) != int(actual[p, q]):
+                if expected[p, q] != actual[p, q]:
                     raise InferenceMismatchError(
-                        f"{name} at ({p},{q}): expected {int(expected[p, q])} "
-                        f"for {d}, table has {int(actual[p, q])}")
+                        f"{name} at ({p},{q}): expected {expected[p, q]} "
+                        f"for {d}, table has {actual[p, q]}")
     return d

@@ -13,8 +13,6 @@ import re
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
-
 from .bicomplex import DoubleComplex
 from .zigzag import canonicalize_shape
 
@@ -108,7 +106,6 @@ def doc_to_complex(doc):
                  "'dims' entries must be non-negative integers, dims[p][q]")
     _require(sum(map(sum, dims)) <= MAX_SIZE,
              f"'dims' entries must sum to at most {MAX_SIZE}")
-    grid = np.array(dims, dtype=np.int64)
 
     def parse_maps(key, horiz):
         maps = {}
@@ -126,7 +123,7 @@ def doc_to_complex(doc):
                      and tgt[0] <= p_max and tgt[1] <= q_max,
                      f"{key} map at ({p},{q}) leaves the grid")
             _require((p, q) not in maps, f"duplicate {key} map at ({p},{q})")
-            _require(grid[p, q] > 0 and grid[tgt] > 0,
+            _require(dims[p][q] > 0 and dims[tgt[0]][tgt[1]] > 0,
                      f"{key} map at ({p},{q}) touches a zero-dimensional spot "
                      "and must be omitted")
             m = item["m"]
@@ -137,7 +134,7 @@ def doc_to_complex(doc):
             maps[(p, q)] = [[str_to_fraction(x) for x in row] for row in m]
         return maps
 
-    return DoubleComplex(p_max, q_max, grid,
+    return DoubleComplex(p_max, q_max, dims,
                          parse_maps("d_horiz", True),
                          parse_maps("d_vert", False))
 

@@ -49,32 +49,27 @@ limit page.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .bicomplex import degree_spots, require_valid, total_differential
 
 
 @dataclass(frozen=True)
 class PageTable:
-    """Dimensions of one page, indexed as ``grid[p, q]``."""
+    """Dimensions of one page, a frozen grid indexed as ``grid[p, q]``."""
     r: int
-    grid: np.ndarray
+    grid: linalg.Grid
 
     def __post_init__(self):
-        self.grid.flags.writeable = False
+        if not isinstance(self.grid, linalg.Grid):
+            object.__setattr__(self, "grid", linalg.Grid(self.grid))
 
     def entry(self, p, q):
-        return int(self.grid[p, q])
-
-    def __eq__(self, other):
-        return (isinstance(other, PageTable) and self.r == other.r
-                and np.array_equal(self.grid, other.grid))
+        return self.grid[p, q]
 
     __hash__ = None
 
     def same_entries(self, other):
-        return np.array_equal(self.grid, other.grid)
+        return self.grid == other.grid
 
 
 def stable_page_index(K):
@@ -84,12 +79,8 @@ def stable_page_index(K):
 
 def euler_char_of_page(table):
     """Alternating sum of the page entries over total degree."""
-    total = 0
-    P, Q = table.grid.shape
-    for p in range(P):
-        for q in range(Q):
-            total += (-1) ** (p + q) * int(table.grid[p, q])
-    return total
+    return sum((-1) ** (p + q) * x
+               for p, row in enumerate(table.grid) for q, x in enumerate(row))
 
 
 def _basis_spots(K, k):
@@ -112,8 +103,10 @@ def _bars(K):
         # degree k in filtration order (p descending); the columns of degree
         # k + 1 run in increasing p, so a row's leading column is its
         # persistence "low".
-        d = total_differential(K, k)[:, ::-1].T
-        bars += [(tgt[c], src[-1 - j]) for j, c in linalg.rank(d, profile=True)]
+        d = total_differential(K, k).T[::-1]
+        if d.any():
+            bars += [(tgt[c], src[-1 - j])
+                     for j, c in linalg.rank(d, profile=True)]
     return bars
 
 
@@ -128,12 +121,12 @@ def pages_filtration(K, r_max):
         length = birth[0] - death[0]
         if length < r_max:
             dying[length] += [birth, death]
-    grid = K.dims.copy()
+    grid = K.dims.tolist()
     tables = []
     for r in range(1, r_max + 1):
         for p, q in dying[r - 1]:
-            grid[p, q] -= 1
-        tables.append(PageTable(r, grid.copy()))
+            grid[p][q] -= 1
+        tables.append(PageTable(r, grid))
     return tables
 
 
@@ -161,7 +154,7 @@ def _system(K, rows, cols):
 
 
 def _explicit_entry(K, p, q, r):
-    """E_r(p, q), solved at the spot itself."""
+    """E_r(p, q), solved at the spot; a system with no entry is not eliminated."""
     if K.dim(p, q) == 0:
         return 0
     # Representatives: chains (a_0, .., a_{r-1}) at spots (p+i, q-i) with
@@ -169,17 +162,25 @@ def _explicit_entry(K, p, q, r):
     # equations sit at the spots just above the chain's, and every arrow
     # from a chain spot into one of them is a term of its equation.
     chain = [(p + i, q - i) for i in range(r)]
-    sol = linalg.nullspace(_system(K, [(a, b + 1) for a, b in chain], chain))
-    x = sol[:K.dim(p, q), :]
+    x = _kernel(_system(K, [(a, b + 1) for a, b in chain], chain))[:K.dim(p, q)]
+    if not x.any():
+        return 0
     # Arriving values: d_v b_0 + d_h b_1 over chains (b_0, .., b_{r-1}) at
     # spots (p, q-1), (p-1, q), .., (p-r+1, q+r-2) that continue to
     # anticommute and close up vertically at the far end.
     arriving = [(p, q - 1)] + [(p - j, q + j - 1) for j in range(1, r)]
     y = _system(K, [(p, q)], arriving)
-    if r > 1:
+    if r > 1 and y.any():
         closing = [(a, b + 1) for a, b in arriving[1:]]
-        y = linalg.mat_mul(y, linalg.nullspace(_system(K, closing, arriving)))
+        y = linalg.mat_mul(y, _kernel(_system(K, closing, arriving)))
+    if not y.any():
+        return linalg.rank(x)
     return linalg.rank_of_columns([x, y]) - linalg.rank(y)
+
+
+def _kernel(m):
+    """Columns spanning ker(m); the identity when ``m`` has no entry."""
+    return linalg.nullspace(m) if m.any() else linalg.identity(m.shape[1])
 
 
 def pages_explicit(K, r_max):
@@ -190,22 +191,24 @@ def pages_explicit(K, r_max):
     both the target (p + r - 1, q - r + 2) and the source
     (p - r + 1, q + r - 2) of d_{r-1} (rule ii); E_r is the cohomology of
     E_{r-1} under d_{r-1}, so both copies are exact.  Every other entry is
-    solved at its spot.
+    solved at its spot.  Pages after :func:`stable_page_index` are the
+    stable page itself.
     """
     require_valid(K)
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     tables = []
     prev = K.dims
-    for r in range(1, r_max + 1):
-        g = prev.copy()
+    last = min(r_max, stable_page_index(K))
+    for r in range(1, last + 1):
+        g = prev.tolist()
         for p, q in K.spots():
-            if g[p, q] and (_entry(prev, p + r - 1, q - r + 2)
+            if g[p][q] and (_entry(prev, p + r - 1, q - r + 2)
                             or _entry(prev, p - r + 1, q + r - 2)):
-                g[p, q] = _explicit_entry(K, p, q, r)
-        tables.append(PageTable(r, g))
-        prev = g
-    return tables
+                g[p][q] = _explicit_entry(K, p, q, r)
+        prev = linalg.Grid(g)
+        tables.append(PageTable(r, prev))
+    return tables + [PageTable(r, prev) for r in range(last + 1, r_max + 1)]
 
 
 def degeneration_page(K):

@@ -14,8 +14,6 @@ language: they contribute nothing to any cohomology table.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .bicomplex import DoubleComplex
 from .cohomology import aeppli, bott_chern, de_rham, dolbeault, row_cohomology
@@ -90,9 +88,9 @@ def realize_shape(shape, grid):
     for p, q in shape.dots:
         if p > p_max or q > q_max:
             raise GridError(f"dot ({p},{q}) outside grid {p_max}x{q_max}")
-    dims = np.zeros((p_max + 1, q_max + 1), dtype=np.int64)
+    dims = [[0] * (q_max + 1) for _ in range(p_max + 1)]
     for p, q in shape.dots:
-        dims[p, q] = 1
+        dims[p][q] = 1
     dh = {}
     dv = {}
     for src, _dst, kind in shape.arrows():
@@ -114,32 +112,29 @@ def synthesize(multiset, grid):
         if mult < 0:
             raise ValueError("negative multiplicity")
         summands.extend([shape] * mult)
-    dims = np.zeros((p_max + 1, q_max + 1), dtype=np.int64)
-    for shape in summands:
-        for p, q in shape.dots:
-            if p > p_max or q > q_max:
-                raise GridError(f"dot ({p},{q}) outside grid {p_max}x{q_max}")
-            dims[p, q] += 1
-    index = np.zeros_like(dims)
-    coords = []
+    # Each summand takes the next free coordinate at each of its dots, and
+    # each of its arrows puts a 1 at (target coordinate, source coordinate).
+    used = {}
+    ones = {"h": {}, "v": {}}
     for shape in summands:
         spot_of = {}
         for p, q in shape.dots:
-            spot_of[(p, q)] = int(index[p, q])
-            index[p, q] += 1
-        coords.append(spot_of)
-    dh = {}
-    dv = {}
-    for shape, spot_of in zip(summands, coords):
+            if p > p_max or q > q_max:
+                raise GridError(f"dot ({p},{q}) outside grid {p_max}x{q_max}")
+            spot_of[p, q] = used.get((p, q), 0)
+            used[p, q] = spot_of[p, q] + 1
         for src, dst, kind in shape.arrows():
-            maps = dh if kind == "h" else dv
-            m = maps.get(src)
-            if m is None:
-                tgt = (src[0] + 1, src[1]) if kind == "h" else (src[0], src[1] + 1)
-                m = linalg.zeros(int(dims[tgt]), int(dims[src]))
-                maps[src] = m
-            m[spot_of[dst], spot_of[src]] = 1
-    return DoubleComplex(p_max, q_max, dims, dh, dv)
+            ones[kind].setdefault((src, dst), {})[spot_of[dst]] = spot_of[src]
+    dims = [[used.get((p, q), 0) for q in range(q_max + 1)]
+            for p in range(p_max + 1)]
+
+    def maps(kind):
+        return {src: linalg.Matrix((used[dst], used[src]),
+                                   [{col[i]: 1} if i in col else {}
+                                    for i in range(used[dst])])
+                for (src, dst), col in ones[kind].items()}
+
+    return DoubleComplex(p_max, q_max, dims, maps("h"), maps("v"))
 
 
 def mirror_shape(shape, kind, grid):

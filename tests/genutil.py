@@ -15,16 +15,15 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
-
 from frolicher import linalg
+from frolicher.linalg import Grid
 from frolicher.bicomplex import DoubleComplex, direct_sum, empty_complex
 from frolicher.zigzag import canonicalize_shape, realize_shape, synthesize
 
 
 def ref_rank(mat):
     """Rank by plain rational Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in np.asarray(mat).tolist()]
+    rows = [[Fraction(x) for x in row] for row in mat.tolist()]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     rank = 0
@@ -47,9 +46,38 @@ def ref_rank(mat):
     return rank
 
 
+def total(grid):
+    """Sum of the entries of a grid."""
+    return sum(map(sum, grid))
+
+
+def reflected(grid):
+    """``grid`` turned through (p, q) -> (p_max - p, q_max - q)."""
+    return Grid([row[::-1] for row in grid][::-1])
+
+
+def transposed(grid):
+    return Grid(list(zip(*grid)))
+
+
+def shrinks(later, earlier):
+    """Whether every entry of ``later`` is at most that of ``earlier``."""
+    return all(x <= y for a, b in zip(later, earlier) for x, y in zip(a, b))
+
+
+def combination(terms, shape):
+    """The grid sum of ``c * grid`` over ``(c, grid)`` in ``terms``.
+
+    Each grid counts as zero outside its own shape.
+    """
+    def at(g, p, q):
+        return g[p, q] if p < g.shape[0] and q < g.shape[1] else 0
+    return Grid([[sum(c * at(g, p, q) for c, g in terms)
+                  for q in range(shape[1])] for p in range(shape[0])])
+
+
 def ref_nullity(mat):
-    m = np.asarray(mat)
-    return m.shape[1] - ref_rank(m) if m.size else m.shape[1]
+    return mat.shape[1] - ref_rank(mat) if mat.size else mat.shape[1]
 
 
 def random_fraction_matrix(rng, rows, cols, denom=4, mag=6):
@@ -72,14 +100,12 @@ def square_complex(p, q, grid):
     p_max, q_max = grid
     if p + 1 > p_max or q + 1 > q_max:
         raise ValueError("square does not fit the grid")
-    dims = np.zeros((p_max + 1, q_max + 1), dtype=np.int64)
-    for dp in (0, 1):
-        for dq in (0, 1):
-            dims[p + dp, q + dq] = 1
+    dims = [[int(a - p in (0, 1) and b - q in (0, 1)) for b in range(q_max + 1)]
+            for a in range(p_max + 1)]
     one = linalg.identity(1)
     return DoubleComplex(p_max, q_max, dims,
                          d_horiz={(p, q): one, (p, q + 1): one},
-                         d_vert={(p, q): one, (p + 1, q): -one})
+                         d_vert={(p, q): one, (p + 1, q): [[-1]]})
 
 
 def fold_synthesize(multiset, grid):
@@ -169,7 +195,7 @@ def change_basis(rng, K, rational=False):
             dv[(p, q)] = linalg.mat_mul(
                 linalg.mat_mul(basis[(p, q + 1)][0], K.dv(p, q)),
                 basis[(p, q)][1])
-    return DoubleComplex(K.p_max, K.q_max, K.dims.copy(), dh, dv)
+    return DoubleComplex(K.p_max, K.q_max, K.dims, dh, dv)
 
 
 def random_complex(rng, p_max=3, q_max=3, max_shapes=4, max_mult=2,
@@ -195,7 +221,7 @@ def random_complex_suite(seed, count, grids=((2, 2), (3, 3), (3, 2), (4, 4),
         p_max, q_max = grids[i % len(grids)]
         while True:
             K = random_complex(rng, p_max, q_max, rational=(i % 7 == 3))
-            if int(K.dims.max()) <= max_spot_dim:
+            if max(map(max, K.dims)) <= max_spot_dim:
                 break
         out.append(K)
     return out

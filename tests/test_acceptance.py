@@ -8,7 +8,6 @@ reference, never asserted.
 import time
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from frolicher.bicomplex import direct_sum
@@ -21,7 +20,7 @@ from frolicher.serialize import complex_to_json, json_to_complex
 from frolicher.spectral import (degeneration_page, euler_char_of_page,
                                 pages_explicit, pages_filtration)
 from frolicher.zigzag import enumerate_shapes, realize_shape
-from genutil import random_complex_suite, square_complex
+from genutil import random_complex_suite, shrinks, square_complex
 
 RANDOM_COUNT = 200
 PARAM_BOUND = 3
@@ -97,7 +96,7 @@ def test_criterion_1_oracle_equivalence(random_suite, shape_suite):
     shapes, t_shape = shape_suite
     assert len(randoms) >= 200
     for rec in randoms + shapes:
-        assert int(rec.K.dims.max()) <= 4
+        assert max(map(max, rec.K.dims)) <= 4
         for a, b in zip(rec.pages_filt, rec.pages_expl):
             assert a.same_entries(b), \
                 f"methods disagree on page {a.r} of {rec.K}"
@@ -116,7 +115,7 @@ def test_criterion_2_figure_reproduction(model_suite):
         assert got.pages[0] == pred.e1
         assert got.pages[1] == pred.e2
         for t in got.pages[2:]:
-            assert np.array_equal(t.grid, pred.e3plus.grid), f"page {t.r}"
+            assert t.grid == pred.e3plus.grid, f"page {t.r}"
         assert got.bott_chern == pred.bott_chern
         assert got.aeppli == pred.aeppli
         assert tuple(got.betti.b) == (1, 0, 0, 0, 0, 0, 1)
@@ -169,7 +168,7 @@ def test_criterion_4_named_scenarios():
 def _check_invariants(K, pages, betti):
     chi_dim = sum((-1) ** (p + q) * K.dim(p, q) for p, q in K.spots())
     for earlier, later in zip(pages, pages[1:]):
-        assert (later.grid <= earlier.grid).all()
+        assert shrinks(later.grid, earlier.grid)
     for t in pages:
         assert euler_char_of_page(t) == chi_dim
     last = pages[-1]

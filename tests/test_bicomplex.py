@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from frolicher import linalg
@@ -27,9 +26,7 @@ def test_validate_single_dot():
 def test_validate_flags_nonzero_dd():
     # 1-dim spots at (0,0), (1,0), (2,0) with both horizontal maps [1]:
     # the composite is [1] != 0.
-    dims = np.zeros((3, 1), dtype=np.int64)
-    dims[0, 0] = dims[1, 0] = dims[2, 0] = 1
-    K = DoubleComplex(2, 0, dims,
+    K = DoubleComplex(2, 0, [[1], [1], [1]],
                       d_horiz={(0, 0): linalg.identity(1),
                                (1, 0): linalg.identity(1)})
     report = validate(K)
@@ -39,18 +36,14 @@ def test_validate_flags_nonzero_dd():
 
 
 def test_validate_flags_shape_mismatch():
-    dims = np.zeros((2, 1), dtype=np.int64)
-    dims[0, 0] = 1
-    dims[1, 0] = 2
-    K = DoubleComplex(1, 0, dims, d_horiz={(0, 0): linalg.identity(1)})
+    K = DoubleComplex(1, 0, [[1], [2]], d_horiz={(0, 0): linalg.identity(1)})
     report = validate(K)
     assert len(report) == 1
     assert report[0].axiom == "shape"
 
 
 def test_validate_flags_map_leaving_grid():
-    dims = np.ones((1, 1), dtype=np.int64)
-    K = DoubleComplex(0, 0, dims, d_horiz={(0, 0): linalg.identity(1)})
+    K = DoubleComplex(0, 0, [[1]], d_horiz={(0, 0): linalg.identity(1)})
     assert [v.axiom for v in validate(K)] == ["shape"]
 
 
@@ -76,15 +69,40 @@ def test_validate_never_multiplies_absent_maps(monkeypatch):
 
 
 def test_maps_are_frozen_copies():
-    m = linalg.identity(1)
-    K = DoubleComplex(1, 0, np.ones((2, 1), dtype=np.int64), {(0, 0): m})
+    m = [[1]]
+    dims = [[1], [1]]
+    K = DoubleComplex(1, 0, dims, {(0, 0): m})
     before = row_cohomology(K)
     assert before.grid.tolist() == [[0], [0]]
-    m[0, 0] = 0  # the caller's array is not the complex's
+    m[0][0] = 0  # the caller's lists are not the complex's
+    dims[1][0] = 5
     assert row_cohomology(K) == before
+    assert K.dim(1, 0) == 1
     assert validate(K) == []
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         K.dh(0, 0)[0, 0] = 0
+
+
+def test_values_cannot_be_reopened_for_writing():
+    K = DoubleComplex(1, 0, [[1], [1]], {(0, 0): [[3]]})
+    m = K.arrow((0, 0), (1, 0))
+    tables = [row_cohomology(K), *pages_filtration(K, 2)]
+    for grid in [K.dims] + [t.grid for t in tables]:
+        with pytest.raises(TypeError):
+            grid[0, 0] = 7
+    with pytest.raises(TypeError):
+        m[0, 0] = 99
+    with pytest.raises(TypeError):
+        m.rows[0][0] = 99
+    for value, name in ((m, "shape"), (m, "rows"), (m, "flags"),
+                        (K.dims, "shape"), (K.dims, "_cells")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert m.T.T == m and m[:1] == m
+    assert m == linalg.from_rows(1, 1, [[3]])
+    assert K.dims.tolist() == [[1], [1]] and K.dim(0, 0) == 1
 
 
 def test_direct_sum_with_zero_is_identity():
@@ -103,12 +121,12 @@ def test_direct_sum_c_zigzags_block_identity():
     C = realize_shape(canonicalize_shape([(0, 1), (1, 1)]), (3, 3))
     S = direct_sum(C, C)
     assert S.dim(0, 1) == S.dim(1, 1) == 2
-    assert linalg.mat_eq(S.dh(0, 1), linalg.identity(2))
+    assert S.dh(0, 1) == linalg.identity(2)
 
 
 def test_direct_sum_rejects_invalid():
-    dims = np.ones((2, 1), dtype=np.int64) * 2
-    bad = DoubleComplex(1, 0, dims, d_horiz={(0, 0): linalg.identity(1)})
+    bad = DoubleComplex(1, 0, [[2], [2]],
+                        d_horiz={(0, 0): linalg.identity(1)})
     with pytest.raises(InvalidComplexError) as err:
         direct_sum(bad, empty_complex(1, 0))
     assert err.value.report
@@ -123,7 +141,7 @@ def test_dual_of_c_zigzag():
     C = realize_shape(canonicalize_shape([(0, 1), (1, 1)]), (3, 3))
     D = dual(C)
     assert D.dim(2, 2) == D.dim(3, 2) == 1
-    assert linalg.mat_eq(D.dh(2, 2), linalg.identity(1))
+    assert D.dh(2, 2) == linalg.identity(1)
     assert validate(D) == []
 
 
@@ -139,11 +157,11 @@ def test_conjugate_examples():
     C = realize_shape(canonicalize_shape([(0, 1), (1, 1)]), (3, 3))
     J = conjugate(C)
     assert J.dim(1, 0) == J.dim(1, 1) == 1
-    assert linalg.mat_eq(J.dv(1, 0), linalg.identity(1))
+    assert J.dv(1, 0) == linalg.identity(1)
     rng = random.Random(43)
     for _ in range(10):
         K = random_complex(rng, 3, 3)
-        assert np.array_equal(conjugate(conjugate(K)).dims, K.dims)
+        assert conjugate(conjugate(K)).dims == K.dims
 
 
 def test_conjugate_swaps_dolbeault_and_row():
@@ -204,14 +222,14 @@ def test_direct_sum_commutes_and_associates_on_tables():
         C = random_complex(rng, 2, 2, max_shapes=1)
         left = direct_sum(A, B)
         right = direct_sum(B, A)
-        assert np.array_equal(left.dims, right.dims)
+        assert left.dims == right.dims
         assert dolbeault(left) == dolbeault(right)
         r = stable_page_index(left)
         for x, y in zip(pages_filtration(left, r), pages_filtration(right, r)):
             assert x.same_entries(y)
         assoc_l = direct_sum(direct_sum(A, B), C)
         assoc_r = direct_sum(A, direct_sum(B, C))
-        assert np.array_equal(assoc_l.dims, assoc_r.dims)
+        assert assoc_l.dims == assoc_r.dims
         assert dolbeault(assoc_l) == dolbeault(assoc_r)
 
 

@@ -7,9 +7,7 @@ from frolicher.cohomology import (aeppli, arithmetic_genus, bott_chern,
                                   de_rham, dolbeault, row_cohomology)
 from frolicher.s6 import DiamondParams, realize_model
 from frolicher.zigzag import canonicalize_shape, realize_shape
-from genutil import random_complex
-
-import numpy as np
+from genutil import random_complex, total
 
 from frolicher import linalg
 
@@ -21,17 +19,17 @@ def shape_complex(dots, grid=(3, 3)):
 def test_dolbeault_dot():
     t = dolbeault(shape_complex([(0, 0)]))
     assert t.entry(0, 0) == 1
-    assert t.grid.sum() == 1
+    assert total(t.grid) == 1
 
 
 def test_dolbeault_vertical_arrow_vanishes():
     t = dolbeault(shape_complex([(1, 0), (1, 1)]))
-    assert t.grid.sum() == 0
+    assert total(t.grid) == 0
 
 
 def test_row_dot_and_arrow():
     assert row_cohomology(shape_complex([(0, 0)])).entry(0, 0) == 1
-    assert row_cohomology(shape_complex([(0, 1), (1, 1)])).grid.sum() == 0
+    assert total(row_cohomology(shape_complex([(0, 1), (1, 1)])).grid) == 0
 
 
 def test_row_is_conjugated_dolbeault():
@@ -85,13 +83,13 @@ def test_bott_chern_dot():
 def test_bott_chern_c_zigzag():
     t = bott_chern(shape_complex([(0, 1), (1, 1)]))
     assert t.entry(1, 1) == 1
-    assert t.grid.sum() == 1
+    assert total(t.grid) == 1
 
 
 def test_aeppli_top_dot():
     t = aeppli(shape_complex([(3, 3)]))
     assert t.entry(3, 3) == 1
-    assert t.grid.sum() == 1
+    assert total(t.grid) == 1
 
 
 def test_aeppli_is_bott_chern_of_dual_reflected():
@@ -157,7 +155,7 @@ def test_theories_never_touch_absent_maps(monkeypatch):
         raise AssertionError("multiplied an absent map")
 
     def rank_stored(a, profile=False):
-        assert not linalg.is_zero(a), "ranked an absent map"
+        assert a.any(), "ranked an absent map"
         return rank(a, profile)
 
     monkeypatch.setattr(linalg, "mat_mul", refuse)
@@ -167,13 +165,13 @@ def test_theories_never_touch_absent_maps(monkeypatch):
         assert theory(big).grid.tolist() == [[1000, 1000], [1000, 1000]]
     # One stored arrow: ranked, but it composes with nothing.
     K = shape_complex([(0, 1), (1, 1)])
-    assert bott_chern(K).grid.sum() == 1 and aeppli(K).grid.sum() == 1
-    assert dolbeault(K).grid.sum() == 2 and row_cohomology(K).grid.sum() == 0
+    assert total(bott_chern(K).grid) == 1 and total(aeppli(K).grid) == 1
+    assert total(dolbeault(K).grid) == 2 and total(row_cohomology(K).grid) == 0
 
 
 def test_invalid_complex_rejected():
-    dims = np.ones((2, 1), dtype=np.int64) * 2
-    bad = DoubleComplex(1, 0, dims, d_horiz={(0, 0): linalg.identity(1)})
+    bad = DoubleComplex(1, 0, [[2], [2]],
+                        d_horiz={(0, 0): linalg.identity(1)})
     for op in (dolbeault, row_cohomology, de_rham, bott_chern, aeppli,
                arithmetic_genus):
         with pytest.raises(InvalidComplexError):

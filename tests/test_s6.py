@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from frolicher.bicomplex import dual, validate
@@ -130,7 +129,7 @@ def test_realized_model_dims_self_dual():
     pool = enumerate_diamonds(2)
     for d in rng.sample(pool, 10):
         K = realize_model(d)
-        assert np.array_equal(dual(K).dims, K.dims)
+        assert dual(K).dims == K.dims
 
 
 def test_etesi_dolbeault_matches_expected_spots():
@@ -151,7 +150,7 @@ def test_predicted_e1_serre_symmetric():
 
 def test_predicted_etesi_values():
     pred = predicted_tables(ETESI)
-    assert pred.e2.grid.sum() == 2  # corners only
+    assert sum(map(sum, pred.e2.grid)) == 2  # corners only
     assert pred.e2.entry(0, 0) == pred.e2.entry(3, 3) == 1
     assert pred.bott_chern.entry(1, 1) == 2
     assert pred.bott_chern.entry(3, 2) == 1
@@ -206,21 +205,20 @@ def test_infer_round_trip():
 
 def test_infer_flags_nonzero_h30_spot():
     got = compute_model_tables(realize_model(ETESI))
-    e1 = got.pages[0].grid.copy()
-    e1[3, 0] = 1
+    e1 = got.pages[0].grid.tolist()
+    e1[3][0] = 1
     with pytest.raises(InferenceMismatchError, match=r"E1 at \(3,0\)"):
         infer_params(e1, got.pages[1])
 
 
 def test_infer_flags_inadmissible_extraction():
-    e1 = predicted_tables(ETESI).e1.grid.copy()
-    e2 = predicted_tables(ETESI).e2.grid.copy()
-    e1[1, 1] = 0  # h11=0 with alpha=0 breaks the family count
+    e1 = predicted_tables(ETESI).e1.grid.tolist()
+    e2 = predicted_tables(ETESI).e2.grid
+    e1[1][1] = 0  # h11=0 with alpha=0 breaks the family count
     with pytest.raises(InferenceMismatchError, match="inadmissible"):
         infer_params(e1, e2)
 
 
 def test_infer_rejects_wrong_shape():
     with pytest.raises(InferenceMismatchError, match="4x4"):
-        infer_params(np.zeros((3, 3), dtype=np.int64),
-                     np.zeros((4, 4), dtype=np.int64))
+        infer_params([[0] * 3] * 3, [[0] * 4] * 4)

@@ -19,8 +19,6 @@ from frolicher.serialize import (MAX_SIZE, ParseError, complex_to_json,
 from frolicher.zigzag import canonicalize_shape
 from genutil import random_complex, random_multiset
 
-import numpy as np
-
 
 def test_fraction_strings():
     assert fraction_to_str(Fraction(-3, 7)) == "-3/7"
@@ -37,9 +35,7 @@ def test_fraction_strings():
 
 
 def test_round_trip_with_rationals():
-    dims = np.zeros((2, 2), dtype=np.int64)
-    dims[0, 0] = 2
-    dims[1, 0] = 1
+    dims = [[2, 0], [1, 0]]
     m = linalg.from_rows(1, 2, [[Fraction(1, 2), Fraction(-2, 6)]])
     K = DoubleComplex(1, 1, dims, d_horiz={(0, 0): m})
     text = complex_to_json(K)
@@ -388,3 +384,39 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert res.returncode == 0
     assert "h10=0 h02=0 h11=0 alpha=1 beta=0" in res.stdout
+
+
+@pytest.mark.parametrize("command", ["check", "predict", "realize", "verify"])
+def test_cli_s6_rejects_negative_parameters(command, tmp_path, capsys):
+    for name in ("h10", "h02", "h11", "alpha", "beta"):
+        params = {"h10": "0", "h02": "0", "h11": "1", "alpha": "0",
+                  "beta": "0", name: "-1"}
+        argv = ["s6", command, *(x for k, v in params.items()
+                                 for x in (f"--{k}", v))]
+        if command == "realize":
+            argv += ["-o", str(tmp_path / "model.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"--{name}: must be at least 0" in capsys.readouterr().err
+
+
+def test_cli_never_imports_numpy(tmp_path):
+    # The engine is pure Python; a cold CLI call must not pay for numpy.
+    model = str(tmp_path / "model.json")
+    params = ["--h10", "1", "--h02", "1", "--h11", "2", "--alpha", "1",
+              "--beta", "1"]
+    script = "\n".join([
+        "import sys",
+        "from frolicher.cli import main",
+        f"codes = [main({['s6', 'verify', *params]!r}),",
+        f"         main({['s6', 'realize', *params, '-o', model]!r}),",
+        f"         main({['pages', model, '--method', 'both']!r}),",
+        f"         main({['cohomology', model, '--theory', 'bc']!r})]",
+        "assert codes == [0, 0, 0, 0], codes",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert "methods agree" in res.stdout
