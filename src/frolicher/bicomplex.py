@@ -14,6 +14,12 @@ zero map.  Validation, duals, conjugates, direct sums, the total
 differential and serialization walk the stored arrows, so no zero matrix is
 built for an absent map.
 
+Validation checks d^2 = 0 on the total complex: one total differential D_k
+per degree, assembled from the stored arrows, and one product D_{k+1} D_k
+per degree, whose nonzero blocks name the broken axioms.  A complex keeps
+the matrices it was validated with, and :func:`total_differential` hands
+them to the pages and to de Rham cohomology, so each is assembled once.
+
 Values are immutable once built; every operation here is a pure function.
 """
 
@@ -61,7 +67,7 @@ class DoubleComplex:
     not stored.
     """
 
-    __slots__ = ("p_max", "q_max", "dims", "_arrows", "_report")
+    __slots__ = ("p_max", "q_max", "dims", "_arrows", "_report", "_totals")
 
     def __init__(self, p_max, q_max, dims, d_horiz=None, d_vert=None):
         if p_max < 0 or q_max < 0:
@@ -86,6 +92,7 @@ class DoubleComplex:
                     arrows[s, t] = m
         self._arrows = MappingProxyType(dict(sorted(arrows.items())))
         self._report = None
+        self._totals = None
 
     def dim(self, p, q):
         """Dimension at ``(p, q)``; spots outside the grid are zero."""
@@ -160,18 +167,43 @@ def empty_complex(p_max, q_max):
     return DoubleComplex(p_max, q_max, [[0] * (q_max + 1)] * (p_max + 1))
 
 
+# The axiom broken by a nonzero block of D_{k+1} D_k, by the step from its
+# source spot to its target spot, with the middle spots of the unit-step
+# paths that compose to it.  Dict order is the order of the reports at a spot.
+_AXIOMS = {
+    (2, 0): ("dd_horiz", "horizontal differential squared is nonzero",
+             ((1, 0),)),
+    (0, 2): ("dd_vert", "vertical differential squared is nonzero",
+             ((0, 1),)),
+    (1, 1): ("anticommute", "d_h d_v + d_v d_h is nonzero",
+             ((1, 0), (0, 1))),
+}
+_RANK = {step: i for i, step in enumerate(_AXIOMS)}
+
+
 def validate(K):
     """Check the double complex axioms; empty report iff all hold.
 
     Reported axioms: ``shape`` (stored matrix does not match the dims grid,
     or sits outside the grid), ``dd_horiz`` / ``dd_vert`` (a differential
     composed with itself is nonzero), ``anticommute`` (d_h d_v + d_v d_h is
-    nonzero).  Composite checks are skipped where a shape violation already
-    makes the composite meaningless; absent maps are zero and are never
-    multiplied.
+    nonzero).  After the shape pass, the arrows that passed it are assembled
+    into one total differential D_k per degree, and d^2 = 0 is one product
+    D_{k+1} D_k per degree; a degree whose factors have no stored entry is
+    not multiplied.  A nonzero block of the product from spot s to spot u
+    names its axiom by u - s and is reported at s, unless a unit-step path
+    s -> t -> u runs through an arrow that failed the shape pass: there the
+    composite is meaningless.  Reports list the shape violations in arrow
+    order, then the rest by spot, ``dd_horiz`` before ``dd_vert`` before
+    ``anticommute``.
+
+    When no arrow failed the shape pass, the D_k are the total differentials
+    of ``K``; they are kept on ``K`` and :func:`total_differential` returns
+    them instead of assembling again.
     """
     out = []
     bad = set()
+    good = [{} for _ in range(K.p_max + K.q_max + 1)]
 
     for (s, t), m in K.stored_maps():
         kind = "horiz" if t[0] != s[0] else "vert"
@@ -185,36 +217,39 @@ def validate(K):
                                  f"d_{kind} is {m.shape[0]}x{m.shape[1]}, "
                                  f"expected {expected[0]}x{expected[1]}"))
             bad.add((s, t))
+            continue
+        good[sum(s)][s, t] = m
 
-    def check(axiom, detail, *paths):
-        # Sum over paths s -> t -> u of the composed stored maps; an absent
-        # map makes its path zero, and a broken one skips the check.
-        arrows = [a for s, t, u in paths for a in ((s, t), (t, u))]
-        if not bad.isdisjoint(arrows):
-            return
-        stored = [(K._arrows[t, u], K._arrows[s, t]) for s, t, u in paths
-                  if (s, t) in K._arrows and (t, u) in K._arrows]
-        if not stored:
-            return
-        # The sum of the products is one product of stacked maps.
-        total = linalg.mat_mul(linalg.hstack([a for a, _ in stored]),
-                               linalg.vstack([b for _, b in stored]))
-        if total.any():
-            out.append(Violation(*paths[0][0], axiom, detail))
-
-    for p, q in K.spots():
-        right, up, diag = (p + 1, q), (p, q + 1), (p + 1, q + 1)
-        check("dd_horiz", "horizontal differential squared is nonzero",
-              ((p, q), right, (p + 2, q)))
-        check("dd_vert", "vertical differential squared is nonzero",
-              ((p, q), up, (p, q + 2)))
-        check("anticommute", "d_h d_v + d_v d_h is nonzero",
-              ((p, q), right, diag), ((p, q), up, diag))
+    totals = [_assemble(K, k, arrows) for k, arrows in enumerate(good)]
+    broken = set()
+    for k in range(len(totals) - 1):
+        if not (totals[k].any() and totals[k + 1].any()):
+            continue
+        square = linalg.mat_mul(totals[k + 1], totals[k])
+        if square.any():
+            src = basis_spots(K, k)
+            tgt = basis_spots(K, k + 2)
+            broken.update((src[j], tgt[i]) for i, row in enumerate(square.rows)
+                          for j in row)
+    blocks = []
+    for s, u in broken:
+        step = (u[0] - s[0], u[1] - s[1])
+        axiom, detail, steps = _AXIOMS[step]
+        middles = [(s[0] + a, s[1] + b) for a, b in steps]
+        if bad.isdisjoint([a for t in middles for a in ((s, t), (t, u))]):
+            blocks.append((s, _RANK[step], Violation(*s, axiom, detail)))
+    out += [v for _, _, v in sorted(blocks, key=lambda b: b[:2])]
+    if not bad:
+        K._totals = tuple(totals)
     return out
 
 
 def require_valid(K):
-    """Raise :class:`InvalidComplexError` unless ``K`` passes validation."""
+    """Raise :class:`InvalidComplexError` unless ``K`` passes validation.
+
+    The report is kept on ``K``, so each complex is validated once, and so
+    are the total differentials that :func:`validate` assembled for it.
+    """
     if K._report is None:
         K._report = validate(K)
     if K._report:
@@ -266,19 +301,33 @@ def degree_spots(K, k):
             for p in range(max(0, k - K.q_max), min(K.p_max, k) + 1)]
 
 
+def basis_spots(K, k):
+    """The spot of each basis vector of degree ``k``, in increasing ``p``."""
+    return [s for s in degree_spots(K, k) for _ in range(K.dim(*s))]
+
+
 def total_differential(K, k):
     """The total differential from degree ``k`` to ``k + 1``.
 
     Rows and columns are blocked by :func:`degree_spots` order (increasing
     ``p``), so the column filtration by ``p`` corresponds to suffixes of the
-    coordinate blocks.
+    coordinate blocks.  Once :func:`validate` has run on ``K`` with every
+    arrow of the right shape, this is the matrix it checked, not a new one.
     """
+    if K._totals is not None and 0 <= k < len(K._totals):
+        return K._totals[k]
+    return _assemble(K, k, K._arrows)
+
+
+def _assemble(K, k, arrows):
+    """D_k from those of the ``(source, target) -> matrix`` ``arrows`` that
+    run from degree ``k`` to ``k + 1`` on the grid."""
     src = degree_spots(K, k)
     tgt = degree_spots(K, k + 1)
     src_index = {spot: j for j, spot in enumerate(src)}
     tgt_index = {spot: i for i, spot in enumerate(tgt)}
     blocks = {(tgt_index[t], src_index[s]): m
-              for (s, t), m in K.stored_maps()
+              for (s, t), m in arrows.items()
               if s in src_index and t in tgt_index}
     return linalg.assemble([K.dim(*s) for s in tgt], [K.dim(*s) for s in src],
                            blocks)

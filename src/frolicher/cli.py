@@ -251,7 +251,15 @@ def build_parser():
                    help=f"last page (at most {serialize.MAX_SIZE}; default "
                         "the stable page)")
     p.add_argument("--method", default="filtration",
-                   choices=["filtration", "explicit", "both"])
+                   choices=["filtration", "explicit", "both"],
+                   help="filtration (default): one persistence reduction "
+                        "per total degree; explicit: one small system per "
+                        "spot and page, an independent check; both: run the "
+                        "two and compare them.  Time grows faster than "
+                        "cubically with the total dimension of a dense "
+                        "document: explicit takes about 16 s at dimension "
+                        "400 and 16 times as long per doubling, and the size "
+                        f"bound {serialize.MAX_SIZE} does not bound the time")
     p.set_defaults(func=cmd_pages)
 
     p = sub.add_parser("degeneration", help="first stable page index")

@@ -133,6 +133,13 @@ def aeppli(K):
 
 
 def arithmetic_genus(K):
-    """Alternating sum of the first column of the dolbeault table."""
-    table = dolbeault(K)
-    return sum((-1) ** q * table.entry(0, q) for q in range(K.q_max + 1))
+    """Alternating sum of the first column of the dolbeault table.
+
+    Only the vertical maps of column ``p = 0`` are ranked; the rest of the
+    table is not built.
+    """
+    require_valid(K)
+    # ranks[q] is the rank of d_v into (0, q), ranks[q + 1] of d_v out of it.
+    ranks = [0] + [_rank(K, _v(0, q)) for q in range(K.q_max + 1)]
+    return sum((-1) ** q * (K.dim(0, q) - ranks[q] - ranks[q + 1])
+               for q in range(K.q_max + 1))

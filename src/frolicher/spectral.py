@@ -35,7 +35,10 @@ d_0 = d_v), so on the method's own page r - 1:
        zero, then d_{r-1} is zero into and out of (p, q) and
        E_r(p, q) = E_{r-1}(p, q).
 
-Both rules are exact, so skipping the solve changes no entry.  The method
+A spot that no stored arrow enters or leaves is a direct summand of the
+complex, a sum of dots, so it keeps its dimension on every page and is
+never solved either.  All three rules are exact, so skipping the solve
+changes no entry.  The method
 never forms the total complex, so the two methods share only the
 eliminator; they must agree on every valid complex, and the test suite
 enforces this.  ``cohomology.de_rham`` takes its own ranks of the
@@ -50,7 +53,7 @@ limit page.
 from dataclasses import dataclass
 
 from . import linalg
-from .bicomplex import degree_spots, require_valid, total_differential
+from .bicomplex import basis_spots, require_valid, total_differential
 
 
 @dataclass(frozen=True)
@@ -83,11 +86,6 @@ def euler_char_of_page(table):
                for p, row in enumerate(table.grid) for q, x in enumerate(row))
 
 
-def _basis_spots(K, k):
-    """The spot of each basis vector of degree ``k``, in increasing ``p``."""
-    return [s for s in degree_spots(K, k) for _ in range(K.dim(*s))]
-
-
 def _bars(K):
     """Persistence pairs of the filtered total complex of a valid ``K``.
 
@@ -96,9 +94,9 @@ def _bars(K):
     The bar length is ``birth[0] - death[0]``.
     """
     bars = []
-    tgt = _basis_spots(K, 0)
+    tgt = basis_spots(K, 0)
     for k in range(K.p_max + K.q_max):
-        src, tgt = tgt, _basis_spots(K, k + 1)
+        src, tgt = tgt, basis_spots(K, k + 1)
         # Row j is the boundary column d e of the j-th basis vector of
         # degree k in filtration order (p descending); the columns of degree
         # k + 1 run in increasing p, so a row's leading column is its
@@ -190,19 +188,21 @@ def pages_explicit(K, r_max):
     grid) when it is zero there (rule i), or when page r - 1 is zero at
     both the target (p + r - 1, q - r + 2) and the source
     (p - r + 1, q + r - 2) of d_{r-1} (rule ii); E_r is the cohomology of
-    E_{r-1} under d_{r-1}, so both copies are exact.  Every other entry is
-    solved at its spot.  Pages after :func:`stable_page_index` are the
-    stable page itself.
+    E_{r-1} under d_{r-1}, so both copies are exact.  A spot with no stored
+    arrow into or out of it keeps its dimension on every page.  Every other
+    entry is solved at its spot.  Pages after :func:`stable_page_index` are
+    the stable page itself.
     """
     require_valid(K)
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
+    touched = sorted({spot for arrow, _ in K.stored_maps() for spot in arrow})
     tables = []
     prev = K.dims
     last = min(r_max, stable_page_index(K))
     for r in range(1, last + 1):
         g = prev.tolist()
-        for p, q in K.spots():
+        for p, q in touched:
             if g[p][q] and (_entry(prev, p + r - 1, q - r + 2)
                             or _entry(prev, p - r + 1, q + r - 2)):
                 g[p][q] = _explicit_entry(K, p, q, r)

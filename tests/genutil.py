@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from frolicher import linalg
 from frolicher.linalg import Grid
-from frolicher.bicomplex import DoubleComplex, direct_sum, empty_complex
+from frolicher.bicomplex import (DoubleComplex, Violation, direct_sum,
+                                 empty_complex)
 from frolicher.zigzag import canonicalize_shape, realize_shape, synthesize
 
 
@@ -74,6 +75,89 @@ def combination(terms, shape):
         return g[p, q] if p < g.shape[0] and q < g.shape[1] else 0
     return Grid([[sum(c * at(g, p, q) for c, g in terms)
                   for q in range(shape[1])] for p in range(shape[0])])
+
+
+def ref_validate(K):
+    """Reference validation: the axioms checked spot by spot.
+
+    The shape pass, then at each spot in (p, q) order the sum over the
+    unit-step paths of each axiom of the composed stored maps, skipped when
+    a path runs through an arrow that failed the shape pass.  It must
+    report exactly what ``bicomplex.validate`` reports, in the same order.
+    """
+    out = []
+    bad = set()
+    for (s, t), m in K.stored_maps():
+        kind = "horiz" if t[0] != s[0] else "vert"
+        if not all(0 <= p <= K.p_max and 0 <= q <= K.q_max for p, q in (s, t)):
+            out.append(Violation(*s, "shape", f"d_{kind} leaves the grid"))
+            bad.add((s, t))
+            continue
+        expected = (K.dim(*t), K.dim(*s))
+        if m.shape != expected:
+            out.append(Violation(*s, "shape",
+                                 f"d_{kind} is {m.shape[0]}x{m.shape[1]}, "
+                                 f"expected {expected[0]}x{expected[1]}"))
+            bad.add((s, t))
+
+    def check(axiom, detail, *paths):
+        arrows = [a for s, t, u in paths for a in ((s, t), (t, u))]
+        if not bad.isdisjoint(arrows):
+            return
+        stored = [(K.arrow(t, u), K.arrow(s, t)) for s, t, u in paths
+                  if K.arrow(s, t) is not None and K.arrow(t, u) is not None]
+        if not stored:
+            return
+        total = linalg.mat_mul(linalg.hstack([a for a, _ in stored]),
+                               linalg.vstack([b for _, b in stored]))
+        if total.any():
+            out.append(Violation(*paths[0][0], axiom, detail))
+
+    for p, q in K.spots():
+        right, up, diag = (p + 1, q), (p, q + 1), (p + 1, q + 1)
+        check("dd_horiz", "horizontal differential squared is nonzero",
+              ((p, q), right, (p + 2, q)))
+        check("dd_vert", "vertical differential squared is nonzero",
+              ((p, q), up, (p, q + 2)))
+        check("anticommute", "d_h d_v + d_v d_h is nonzero",
+              ((p, q), right, diag), ((p, q), up, diag))
+    return out
+
+
+def corrupted_complex(rng, p_max=3, q_max=3):
+    """A random complex with some of its arrows broken.
+
+    Each stored arrow is left alone, has one entry changed, grows a row or a
+    column (a shape violation), or is joined by a new random arrow, possibly
+    one that leaves the grid.
+    """
+    K = random_complex(rng, p_max, q_max, max_shapes=3,
+                       rational=rng.random() < 0.3)
+    arrows = dict(K.stored_maps())
+    for (s, t), m in list(arrows.items()):
+        kind = rng.random()
+        if kind < 0.15:
+            rows = m.tolist()
+            i, j = rng.randrange(m.shape[0]), rng.randrange(m.shape[1])
+            rows[i][j] += rng.choice((-1, 1, Fraction(1, 2)))
+            arrows[s, t] = linalg.from_rows(*m.shape, rows)
+        elif kind < 0.25:
+            grow = rng.random() < 0.5
+            arrows[s, t] = random_int_matrix(rng, m.shape[0] + grow,
+                                             m.shape[1] + (not grow))
+    for _ in range(rng.randint(0, 3)):
+        p, q = rng.randint(0, p_max), rng.randint(0, q_max)
+        dp, dq = rng.choice(((1, 0), (0, 1)))
+        t = (p + dp, q + dq)
+        shape = (K.dim(*t) if t[0] <= p_max and t[1] <= q_max else 1,
+                 K.dim(p, q))
+        if rng.random() < 0.2:
+            shape = (shape[0] + 1, shape[1])
+        if 0 not in shape:
+            arrows[(p, q), t] = random_int_matrix(rng, *shape, mag=2)
+    horiz = {s: m for (s, t), m in arrows.items() if t[0] != s[0]}
+    vert = {s: m for (s, t), m in arrows.items() if t[0] == s[0]}
+    return DoubleComplex(p_max, q_max, K.dims, horiz, vert)
 
 
 def ref_nullity(mat):

@@ -4,11 +4,12 @@ import pytest
 
 from frolicher import linalg
 from frolicher.bicomplex import (DoubleComplex, InvalidComplexError, conjugate,
-                                 direct_sum, dual, empty_complex, validate)
+                                 direct_sum, dual, empty_complex, require_valid,
+                                 total_differential, validate)
 from frolicher.cohomology import dolbeault, row_cohomology
 from frolicher.spectral import pages_filtration, stable_page_index
 from frolicher.zigzag import canonicalize_shape, realize_shape
-from genutil import random_complex, square_complex
+from genutil import random_complex, ref_validate, square_complex
 
 
 def dot(p, q, grid=(3, 3)):
@@ -66,6 +67,53 @@ def test_validate_never_multiplies_absent_maps(monkeypatch):
     monkeypatch.setattr(linalg, "mat_mul", refuse)
     assert validate(empty_complex(2, 2)) == []
     assert validate(dot(1, 1)) == []
+
+
+def test_dd_vert_is_reported_beside_a_wrong_shape_horizontal_arrow():
+    # d_h out of (0, 0) has the wrong shape, but it lies on no path of the
+    # vertical square at (0, 0), so that square is still checked.
+    K = DoubleComplex(1, 2, [[1, 1, 1], [1, 0, 0]],
+                      d_horiz={(0, 0): [[1], [1]]},
+                      d_vert={(0, 0): [[1]], (0, 1): [[1]]})
+    assert [(v.p, v.q, v.axiom) for v in validate(K)] == [
+        (0, 0, "shape"), (0, 0, "dd_vert")]
+    assert validate(K) == ref_validate(K)
+
+
+def test_validate_multiplies_once_per_degree(monkeypatch):
+    rng = random.Random(48)
+    complexes = [random_complex(rng, 3, 3, n_squares=3) for _ in range(10)]
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    for K in complexes:
+        maps = [total_differential(K, k) for k in range(K.p_max + K.q_max)]
+        calls.clear()
+        assert validate(K) == []
+        # one product D_{k+1} D_k per degree k where both have an entry
+        assert calls == [(b.shape, a.shape) for a, b in zip(maps, maps[1:])
+                         if a.any() and b.any()]
+
+
+def test_validated_total_differentials_are_reused():
+    rng = random.Random(49)
+    K = random_complex(rng, 3, 2)
+    fresh = [total_differential(K, k) for k in range(6)]
+    require_valid(K)
+    kept = [total_differential(K, k) for k in range(6)]
+    assert kept == fresh
+    assert all(a is b for a, b in zip(kept, (total_differential(K, k)
+                                             for k in range(6))))
+    # An arrow that fails the shape pass keeps nothing: validation left it
+    # out of the matrices it assembled.
+    bad = DoubleComplex(0, 0, [[1]], d_horiz={(0, 0): [[1]]})
+    assert [v.axiom for v in validate(bad)] == ["shape"]
+    assert total_differential(bad, 0) is not total_differential(bad, 0)
 
 
 def test_maps_are_frozen_copies():

@@ -5,15 +5,16 @@ import random
 import pytest
 
 from frolicher.bicomplex import (InvalidComplexError, conjugate, direct_sum,
-                                 dual, require_valid)
+                                 dual, require_valid, validate)
 from frolicher.cohomology import aeppli, bott_chern, dolbeault, row_cohomology
 from frolicher.serialize import (ParseError, complex_to_doc, complex_to_json,
                                  doc_to_complex, doc_to_multiset,
                                  json_to_complex, multiset_to_doc)
 from frolicher.spectral import pages_filtration, stable_page_index
 from frolicher.zigzag import GridError, ShapeError, synthesize
-from genutil import (change_basis, combination, random_complex,
-                     random_multiset, reflected, transposed)
+from genutil import (change_basis, combination, corrupted_complex,
+                     random_complex, random_multiset, ref_validate, reflected,
+                     transposed)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -64,6 +65,13 @@ def test_direct_sum_adds_dims_and_tables(A, B):
     for theory in (dolbeault, bott_chern, aeppli):
         assert theory(S).grid == combination(
             [(1, theory(A).grid), (1, theory(B).grid)], shape)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 4))
+def test_validate_matches_the_per_spot_reference(seed, p_max, q_max):
+    K = corrupted_complex(random.Random(seed), p_max, q_max)
+    assert validate(K) == ref_validate(K)
 
 
 @SETTINGS

@@ -123,6 +123,31 @@ def test_arithmetic_genus_examples():
     assert [col.entry(0, q) for q in range(4)] == [1, 1, 0, 0]
 
 
+def test_arithmetic_genus_ranks_only_column_zero(monkeypatch):
+    from frolicher import cohomology
+    rng = random.Random(8)
+    cases = []
+    for i in range(12):
+        K = random_complex(rng, 1 + i % 3, 1 + i % 4, rational=(i % 3 == 0))
+        col = dolbeault(K)
+        cases.append((K, sum((-1) ** q * col.entry(0, q)
+                             for q in range(K.q_max + 1))))
+    ranked = []
+    rank = linalg.rank
+
+    def recorded(a, profile=False):
+        ranked.append(a)
+        return rank(a, profile)
+
+    monkeypatch.setattr(cohomology, "dolbeault", None)
+    monkeypatch.setattr(linalg, "rank", recorded)
+    for K, expected in cases:
+        ranked.clear()
+        assert arithmetic_genus(K) == expected
+        column = [K.arrow((0, q), (0, q + 1)) for q in range(K.q_max)]
+        assert all(any(a is m for m in column) for a in ranked)
+
+
 def test_euler_characteristic_identity():
     rng = random.Random(6)
     for _ in range(10):

@@ -218,6 +218,29 @@ def test_explicit_pages_stop_solving_at_the_stable_page(monkeypatch):
         assert len(visits) <= s + 1  # one validation, one loop per page
 
 
+def test_explicit_pages_never_solve_a_spot_without_arrows(monkeypatch):
+    # A spot that no arrow enters or leaves is a sum of dots: its dimension
+    # is on every page, with nothing to solve.
+    from frolicher import spectral
+    solved = []
+    solve = spectral._explicit_entry
+
+    def counted_solve(K, p, q, r):
+        solved.append((p, q))
+        return solve(K, p, q, r)
+
+    monkeypatch.setattr(spectral, "_explicit_entry", counted_solve)
+    dots = DoubleComplex(31, 31, [[1] * 32] * 32)
+    s = stable_page_index(dots)
+    assert pages_explicit(dots, s) == pages_filtration(dots, s)
+    assert solved == []
+    # Beside an arrow, only the arrow's two spots are ever solved.
+    K = DoubleComplex(5, 5, [[1] * 6] * 6, d_horiz={(2, 3): [[1]]})
+    s = stable_page_index(K)
+    assert pages_explicit(K, s) == pages_filtration(K, s)
+    assert set(solved) <= {(2, 3), (3, 3)}
+
+
 def test_no_elimination_of_a_system_without_entries(monkeypatch):
     # An all-zero system has rank 0 and the identity as kernel basis; the
     # callers read that off the stored rows instead of eliminating.
