@@ -28,6 +28,9 @@ from types import MappingProxyType
 
 from . import linalg
 
+# Only the constructor, validate and require_valid write a complex's slots.
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -78,9 +81,9 @@ class DoubleComplex:
                              f"expected {(p_max + 1, q_max + 1)}")
         if any(x < 0 for row in grid for x in row):
             raise ValueError("spot dimensions must be non-negative")
-        self.p_max = int(p_max)
-        self.q_max = int(q_max)
-        self.dims = grid
+        _set(self, "p_max", int(p_max))
+        _set(self, "q_max", int(q_max))
+        _set(self, "dims", grid)
         arrows = {}
         for (dp, dq), maps in (((1, 0), d_horiz or {}), ((0, 1), d_vert or {})):
             for (p, q), m in maps.items():
@@ -90,9 +93,15 @@ class DoubleComplex:
                         and m.shape == (self.dim(*t), self.dim(*s))
                         and not m.any()):
                     arrows[s, t] = m
-        self._arrows = MappingProxyType(dict(sorted(arrows.items())))
-        self._report = None
-        self._totals = None
+        _set(self, "_arrows", MappingProxyType(dict(sorted(arrows.items()))))
+        _set(self, "_report", None)
+        _set(self, "_totals", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DoubleComplex is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("DoubleComplex is immutable")
 
     def dim(self, p, q):
         """Dimension at ``(p, q)``; spots outside the grid are zero."""
@@ -203,7 +212,7 @@ def validate(K):
     """
     out = []
     bad = set()
-    good = [{} for _ in range(K.p_max + K.q_max + 1)]
+    good = {}
 
     for (s, t), m in K.stored_maps():
         kind = "horiz" if t[0] != s[0] else "vert"
@@ -218,9 +227,10 @@ def validate(K):
                                  f"expected {expected[0]}x{expected[1]}"))
             bad.add((s, t))
             continue
-        good[sum(s)][s, t] = m
+        good[s, t] = m
 
-    totals = [_assemble(K, k, arrows) for k, arrows in enumerate(good)]
+    totals = [block(K, degree_spots(K, k + 1), degree_spots(K, k), good)
+              for k in range(K.p_max + K.q_max + 1)]
     broken = set()
     for k in range(len(totals) - 1):
         if not (totals[k].any() and totals[k + 1].any()):
@@ -240,7 +250,7 @@ def validate(K):
             blocks.append((s, _RANK[step], Violation(*s, axiom, detail)))
     out += [v for _, _, v in sorted(blocks, key=lambda b: b[:2])]
     if not bad:
-        K._totals = tuple(totals)
+        _set(K, "_totals", tuple(totals))
     return out
 
 
@@ -251,7 +261,7 @@ def require_valid(K):
     are the total differentials that :func:`validate` assembled for it.
     """
     if K._report is None:
-        K._report = validate(K)
+        _set(K, "_report", validate(K))
     if K._report:
         raise InvalidComplexError(K._report)
 
@@ -316,18 +326,24 @@ def total_differential(K, k):
     """
     if K._totals is not None and 0 <= k < len(K._totals):
         return K._totals[k]
-    return _assemble(K, k, K._arrows)
+    return block(K, degree_spots(K, k + 1), degree_spots(K, k))
 
 
-def _assemble(K, k, arrows):
-    """D_k from those of the ``(source, target) -> matrix`` ``arrows`` that
-    run from degree ``k`` to ``k + 1`` on the grid."""
-    src = degree_spots(K, k)
-    tgt = degree_spots(K, k + 1)
-    src_index = {spot: j for j, spot in enumerate(src)}
-    tgt_index = {spot: i for i, spot in enumerate(tgt)}
-    blocks = {(tgt_index[t], src_index[s]): m
-              for (s, t), m in arrows.items()
-              if s in src_index and t in tgt_index}
-    return linalg.assemble([K.dim(*s) for s in tgt], [K.dim(*s) for s in src],
-                           blocks)
+def block(K, rows, cols, arrows=None):
+    """The stored arrows from the spots ``cols`` into the spots ``rows``.
+
+    One matrix, blocked by the two spot lists; an absent arrow is a zero
+    block, and nothing is built for it.  ``arrows`` is the ``(source,
+    target) -> matrix`` table read, ``K``'s own by default.
+    """
+    if arrows is None:
+        arrows = K._arrows
+    index = {t: i for i, t in enumerate(rows)}
+    blocks = {}
+    for j, (a, b) in enumerate(cols):
+        for t in ((a + 1, b), (a, b + 1)):
+            m = arrows.get(((a, b), t))
+            if m is not None and t in index:
+                blocks[index[t], j] = m
+    return linalg.assemble([K.dim(*t) for t in rows],
+                           [K.dim(*s) for s in cols], blocks)

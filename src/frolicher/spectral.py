@@ -53,7 +53,8 @@ limit page.
 from dataclasses import dataclass
 
 from . import linalg
-from .bicomplex import basis_spots, require_valid, total_differential
+from .bicomplex import (basis_spots, block, require_valid,
+                        total_differential)
 
 
 @dataclass(frozen=True)
@@ -134,23 +135,6 @@ def _entry(grid, p, q):
     return grid[p, q] if 0 <= p < P and 0 <= q < Q else 0
 
 
-def _system(K, rows, cols):
-    """The stored arrows from the spots ``cols`` into the spots ``rows``.
-
-    One matrix, blocked by the two spot lists; an absent arrow is a zero
-    block, and nothing is built for it.
-    """
-    index = {t: i for i, t in enumerate(rows)}
-    blocks = {}
-    for j, (a, b) in enumerate(cols):
-        for t in ((a + 1, b), (a, b + 1)):
-            m = K.arrow((a, b), t)
-            if m is not None and t in index:
-                blocks[index[t], j] = m
-    return linalg.assemble([K.dim(*t) for t in rows],
-                           [K.dim(*s) for s in cols], blocks)
-
-
 def _explicit_entry(K, p, q, r):
     """E_r(p, q), solved at the spot; a system with no entry is not eliminated."""
     if K.dim(p, q) == 0:
@@ -160,17 +144,17 @@ def _explicit_entry(K, p, q, r):
     # equations sit at the spots just above the chain's, and every arrow
     # from a chain spot into one of them is a term of its equation.
     chain = [(p + i, q - i) for i in range(r)]
-    x = _kernel(_system(K, [(a, b + 1) for a, b in chain], chain))[:K.dim(p, q)]
+    x = _kernel(block(K, [(a, b + 1) for a, b in chain], chain))[:K.dim(p, q)]
     if not x.any():
         return 0
     # Arriving values: d_v b_0 + d_h b_1 over chains (b_0, .., b_{r-1}) at
     # spots (p, q-1), (p-1, q), .., (p-r+1, q+r-2) that continue to
     # anticommute and close up vertically at the far end.
     arriving = [(p, q - 1)] + [(p - j, q + j - 1) for j in range(1, r)]
-    y = _system(K, [(p, q)], arriving)
+    y = block(K, [(p, q)], arriving)
     if r > 1 and y.any():
         closing = [(a, b + 1) for a, b in arriving[1:]]
-        y = linalg.mat_mul(y, _kernel(_system(K, closing, arriving)))
+        y = linalg.mat_mul(y, _kernel(block(K, closing, arriving)))
     if not y.any():
         return linalg.rank(x)
     return linalg.rank_of_columns([x, y]) - linalg.rank(y)

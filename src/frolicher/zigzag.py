@@ -84,18 +84,7 @@ def realize_shape(shape, grid):
     Source/sink alternation means no two arrows compose, so the axioms hold
     with no signs.
     """
-    p_max, q_max = grid
-    for p, q in shape.dots:
-        if p > p_max or q > q_max:
-            raise GridError(f"dot ({p},{q}) outside grid {p_max}x{q_max}")
-    dims = [[0] * (q_max + 1) for _ in range(p_max + 1)]
-    for p, q in shape.dots:
-        dims[p][q] = 1
-    dh = {}
-    dv = {}
-    for src, _dst, kind in shape.arrows():
-        (dh if kind == "h" else dv)[src] = linalg.identity(1)
-    return DoubleComplex(p_max, q_max, dims, dh, dv)
+    return synthesize({shape: 1}, grid)
 
 
 def synthesize(multiset, grid):

@@ -124,6 +124,33 @@ def ref_validate(K):
     return out
 
 
+def ref_tables(K):
+    """Reference cohomology: each theory's formula, spot by spot.
+
+    Every map is the zero-filled ``K.dh`` / ``K.dv``, ranked by
+    :func:`ref_rank`, so nothing here runs the package's eliminator.
+    Returns the four grids by theory name and the arithmetic genus.
+    """
+    dh, dv, r = K.dh, K.dv, ref_rank
+    formulas = {
+        "dolbeault": lambda p, q: r(dv(p, q)) + r(dv(p, q - 1)),
+        "row": lambda p, q: r(dh(p, q)) + r(dh(p - 1, q)),
+        "bott_chern": lambda p, q: (
+            r(linalg.vstack([dh(p, q), dv(p, q)]))
+            + r(linalg.mat_mul(dh(p - 1, q), dv(p - 1, q - 1)))),
+        "aeppli": lambda p, q: (
+            r(linalg.mat_mul(dh(p, q + 1), dv(p, q)))
+            + r(linalg.hstack([dh(p - 1, q), dv(p, q - 1)]))),
+    }
+    out = {theory: Grid([[K.dim(p, q) - ranks(p, q)
+                          for q in range(K.q_max + 1)]
+                         for p in range(K.p_max + 1)])
+           for theory, ranks in formulas.items()}
+    out["genus"] = sum((-1) ** q * out["dolbeault"][0, q]
+                       for q in range(K.q_max + 1))
+    return out
+
+
 def corrupted_complex(rng, p_max=3, q_max=3):
     """A random complex with some of its arrows broken.
 

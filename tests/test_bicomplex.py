@@ -143,7 +143,7 @@ def test_values_cannot_be_reopened_for_writing():
     with pytest.raises(TypeError):
         m.rows[0][0] = 99
     for value, name in ((m, "shape"), (m, "rows"), (m, "flags"),
-                        (K.dims, "shape"), (K.dims, "_cells")):
+                        (K.dims, "shape"), (K.dims, "_cells"), (K, "dims")):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
         with pytest.raises(AttributeError):

@@ -6,15 +6,16 @@ import pytest
 
 from frolicher.bicomplex import (InvalidComplexError, conjugate, direct_sum,
                                  dual, require_valid, validate)
-from frolicher.cohomology import aeppli, bott_chern, dolbeault, row_cohomology
+from frolicher.cohomology import (aeppli, arithmetic_genus, bott_chern,
+                                  dolbeault, row_cohomology)
 from frolicher.serialize import (ParseError, complex_to_doc, complex_to_json,
                                  doc_to_complex, doc_to_multiset,
                                  json_to_complex, multiset_to_doc)
 from frolicher.spectral import pages_filtration, stable_page_index
 from frolicher.zigzag import GridError, ShapeError, synthesize
 from genutil import (change_basis, combination, corrupted_complex,
-                     random_complex, random_multiset, ref_validate, reflected,
-                     transposed)
+                     random_complex, random_multiset, ref_tables, ref_validate,
+                     reflected, transposed)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -72,6 +73,16 @@ def test_direct_sum_adds_dims_and_tables(A, B):
 def test_validate_matches_the_per_spot_reference(seed, p_max, q_max):
     K = corrupted_complex(random.Random(seed), p_max, q_max)
     assert validate(K) == ref_validate(K)
+
+
+@SETTINGS
+@given(complexes())
+def test_theories_match_the_per_spot_reference(K):
+    ref = ref_tables(K)
+    for theory in (dolbeault, row_cohomology, bott_chern, aeppli):
+        table = theory(K)
+        assert table.grid == ref[table.theory], table.theory
+    assert arithmetic_genus(K) == ref["genus"]
 
 
 @SETTINGS

@@ -146,6 +146,29 @@ def test_arithmetic_genus_ranks_only_column_zero(monkeypatch):
         assert arithmetic_genus(K) == expected
         column = [K.arrow((0, q), (0, q + 1)) for q in range(K.q_max)]
         assert all(any(a is m for m in column) for a in ranked)
+        assert ranked == []
+
+
+def test_dolbeault_and_row_rank_each_stored_arrow_once(monkeypatch):
+    # An arrow's rank is charged to both of its ends, so it is taken once.
+    rng = random.Random(9)
+    cases = [random_complex(rng, 1 + i % 3, 1 + i % 4, rational=(i % 3 == 0))
+             for i in range(12)]
+    ranked = []
+    rank = linalg.rank
+
+    def recorded(a, profile=False):
+        ranked.append(id(a))
+        return rank(a, profile)
+
+    monkeypatch.setattr(linalg, "rank", recorded)
+    for K in cases:
+        for theory, vertical in ((dolbeault, True), (row_cohomology, False)):
+            ranked.clear()
+            theory(K)
+            stored = [id(m) for (s, t), m in K.stored_maps()
+                      if (s[0] == t[0]) == vertical]
+            assert sorted(ranked) == sorted(stored)
 
 
 def test_euler_characteristic_identity():
