@@ -54,16 +54,15 @@ class InvalidComplexError(ValueError):
         super().__init__(f"invalid double complex: {lines}{more}")
 
 
-class DoubleComplex:
+class DoubleComplex(linalg._Immutable):
     """Candidate double complex; run :func:`validate` to check the axioms.
 
-    ``dims`` is a grid of ints indexable as ``dims[p, q]`` (nested sequences
-    or anything with ``tolist()``), stored as a :class:`.linalg.Grid`;
-    ``d_horiz`` / ``d_vert`` map ``(p, q)`` to the matrices of int/Fraction
-    out of ``(p, q)``, each a :class:`.linalg.Matrix` or anything
-    :func:`.linalg.as_matrix` reads.  The constructor files them, as
-    immutable matrices, in a read-only arrow table keyed by
-    ``(source, target)`` and sorted.  It accepts matrices of any
+    ``dims`` is any iterable of rows ``dims[p]`` of ints, stored as a
+    :class:`.linalg.Grid`; ``d_horiz`` / ``d_vert`` map ``(p, q)`` to the
+    matrices of int/Fraction out of ``(p, q)``, each a
+    :class:`.linalg.Matrix` or any iterable of rows of entries.  The
+    constructor files them, as immutable matrices, in a read-only arrow
+    table keyed by ``(source, target)`` and sorted.  It accepts matrices of any
     shape, so that validation can report problems instead of refusing to
     represent them; a zero matrix of the correct shape on the grid (every
     map touching a zero-dimensional spot is one) is the absent arrow and is
@@ -96,12 +95,6 @@ class DoubleComplex:
         _set(self, "_arrows", MappingProxyType(dict(sorted(arrows.items()))))
         _set(self, "_report", None)
         _set(self, "_totals", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DoubleComplex is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("DoubleComplex is immutable")
 
     def dim(self, p, q):
         """Dimension at ``(p, q)``; spots outside the grid are zero."""

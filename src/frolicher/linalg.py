@@ -28,7 +28,9 @@ _set = object.__setattr__
 
 
 class _Immutable:
-    """A ``shape``d value whose attributes only the constructor sets."""
+    """A value whose attributes only the constructor sets; ``size`` and the
+    ``repr`` read the ``shape`` and ``tolist()`` of the subclasses that have
+    them."""
     __slots__ = ()
 
     def __setattr__(self, name, value):
@@ -104,15 +106,13 @@ class Matrix(_Immutable):
 class Grid(_Immutable):
     """An immutable rectangle of ints, indexed as ``grid[p, q]``.
 
-    Built from nested sequences of integers or anything with ``tolist()``;
-    iterating it yields the rows ``grid[p, :]`` as tuples.
+    Built from any iterable of rows of integers; iterating it yields the
+    rows ``grid[p, :]`` as tuples.
     """
 
     __slots__ = ("shape", "_cells")
 
     def __init__(self, cells):
-        if hasattr(cells, "tolist"):
-            cells = cells.tolist()
         cells = tuple([tuple([index(x) for x in row]) for row in cells])
         widths = {len(row) for row in cells}
         if len(widths) > 1:
@@ -137,9 +137,7 @@ class Grid(_Immutable):
 
 
 def from_rows(rows, cols, entries):
-    """Build a matrix from row iterables of int/Fraction (or ``tolist()``)."""
-    if hasattr(entries, "tolist"):
-        entries = entries.tolist()
+    """Build a matrix from an iterable of rows of int/Fraction entries."""
     entries = [list(row) for row in entries]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("entry grid does not match the declared shape")
@@ -148,15 +146,12 @@ def from_rows(rows, cols, entries):
 
 
 def as_matrix(m):
-    """``m`` if it is a :class:`Matrix`, else a matrix of its entries: nested
-    rows, or any 2-D array-like value with ``shape`` and ``tolist()``."""
+    """``m`` if it is a :class:`Matrix`, else the matrix of its rows: ``m``
+    is any iterable of rows of entries.  No rows read as the 0 x 0 matrix."""
     if isinstance(m, Matrix):
         return m
-    rows = m.tolist() if hasattr(m, "tolist") else [list(r) for r in m]
-    shape = getattr(m, "shape", None) or (len(rows), len(rows and rows[0]))
-    if len(shape) != 2:
-        raise ValueError("not a matrix")
-    return from_rows(*shape, rows)
+    rows = [list(r) for r in m]
+    return from_rows(len(rows), len(rows and rows[0]), rows)
 
 
 def _coerce(x):

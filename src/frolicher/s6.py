@@ -19,6 +19,7 @@ reproduce the closed-form predictions entry for entry.
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product, starmap
 
 from .cohomology import (BettiVector, CohomologyTable, aeppli,
                          arithmetic_genus, bott_chern, de_rham)
@@ -112,8 +113,7 @@ class InadmissibleParamsError(ValueError):
 
 
 class InferenceMismatchError(ValueError):
-    def __init__(self, message):
-        super().__init__(message)
+    """Computed tables that no admissible diamond predicts."""
 
 
 def check_constraints(d, assume_a0=False):
@@ -168,19 +168,10 @@ def enumerate_diamonds(bound, assume_a0=False, h11_zero_only=False):
     """Admissible tuples in the box [0, bound]^5, lexicographic order."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    out = []
     rng = range(bound + 1)
-    for h10 in rng:
-        for h02 in rng:
-            for h11 in rng:
-                if h11_zero_only and h11 != 0:
-                    continue
-                for alpha in rng:
-                    for beta in rng:
-                        d = DiamondParams(h10, h02, h11, alpha, beta)
-                        if check_constraints(d, assume_a0).all_hold:
-                            out.append(d)
-    return out
+    box = product(rng, rng, range(1) if h11_zero_only else rng, rng, rng)
+    return [d for d in starmap(DiamondParams, box)
+            if check_constraints(d, assume_a0).all_hold]
 
 
 # The seven zigzag families of the model complex, with their counts.  The
@@ -204,22 +195,26 @@ def family_counts(d):
     return {name: count(d) for name, _dots, count in FAMILIES}
 
 
+def _orbit(dots):
+    base = canonicalize_shape(dots)
+    return sorted({base, *(mirror_shape(base, kind, GRID)
+                           for kind in ("dual", "conj", "conj_dual"))})
+
+
+# Each family's count and sorted orbit; the orbits depend on GRID only.
+_ORBITS = [(count, _orbit(dots)) for _name, dots, count in FAMILIES]
+
+
 def model_multiset(d):
     """Zigzag multiset of the model: family orbits at the family counts."""
     report = check_constraints(d)
     if not report.all_hold:
         raise InadmissibleParamsError(report)
     out = Counter()
-    for _name, dots, count in FAMILIES:
+    for count, orbit in _ORBITS:
         mult = count(d)
-        if mult == 0:
-            continue
-        base = canonicalize_shape(dots)
-        orbit = {base}
-        for kind in ("dual", "conj", "conj_dual"):
-            orbit.add(mirror_shape(base, kind, GRID))
-        for shape in sorted(orbit):
-            out[shape] += mult
+        if mult:
+            out.update(dict.fromkeys(orbit, mult))
     return out
 
 
@@ -313,29 +308,28 @@ def verify_model(d):
     return model_mismatches(d, compute_model_tables(realize_model(d)))
 
 
+def _diff(tables):
+    """``(name, p, q, expected, actual)`` at each spot where the two 4x4
+    grids of a ``(name, expected, actual)`` in ``tables`` differ: tables in
+    order, spots in lexicographic ``(p, q)`` order."""
+    return ((name, p, q, e[p, q], a[p, q]) for name, e, a in tables
+            for p in range(4) for q in range(4) if e[p, q] != a[p, q])
+
+
 def model_mismatches(d, got):
     """Mismatch descriptions of computed :class:`ModelTables` ``got``.
 
     Each table is diffed entry for entry against :func:`predicted_tables`.
     """
     pred = predicted_tables(d)
-    mismatches = []
-
-    def diff_grid(name, expected, actual):
-        for p in range(4):
-            for q in range(4):
-                e = expected[p, q]
-                a = actual[p, q]
-                if e != a:
-                    mismatches.append(
-                        f"{name} at ({p},{q}): expected {e}, computed {a}")
-
-    diff_grid("E1", pred.e1.grid, got.pages[0].grid)
-    diff_grid("E2", pred.e2.grid, got.pages[1].grid)
-    for t in got.pages[2:]:
-        diff_grid(f"E{t.r}", pred.e3plus.grid, t.grid)
-    diff_grid("bott_chern", pred.bott_chern.grid, got.bott_chern.grid)
-    diff_grid("aeppli", pred.aeppli.grid, got.aeppli.grid)
+    mismatches = [
+        f"{name} at ({p},{q}): expected {e}, computed {a}"
+        for name, p, q, e, a in _diff([
+            ("E1", pred.e1.grid, got.pages[0].grid),
+            ("E2", pred.e2.grid, got.pages[1].grid),
+            *((f"E{t.r}", pred.e3plus.grid, t.grid) for t in got.pages[2:]),
+            ("bott_chern", pred.bott_chern.grid, got.bott_chern.grid),
+            ("aeppli", pred.aeppli.grid, got.aeppli.grid)])]
     if tuple(got.betti.b) != tuple(pred.betti.b):
         mismatches.append(f"betti: expected {pred.betti.b}, computed {got.betti.b}")
     if got.genus != 0:
@@ -368,12 +362,8 @@ def infer_params(e1, e2):
             f"extracted parameters ({d}) inadmissible: {bad.cid} "
             f"({bad.relation})")
     pred = predicted_tables(d)
-    for name, expected, actual in (("E1", pred.e1.grid, g1),
-                                   ("E2", pred.e2.grid, g2)):
-        for p in range(4):
-            for q in range(4):
-                if expected[p, q] != actual[p, q]:
-                    raise InferenceMismatchError(
-                        f"{name} at ({p},{q}): expected {expected[p, q]} "
-                        f"for {d}, table has {actual[p, q]}")
+    for name, p, q, e, a in _diff([("E1", pred.e1.grid, g1),
+                                   ("E2", pred.e2.grid, g2)]):
+        raise InferenceMismatchError(
+            f"{name} at ({p},{q}): expected {e} for {d}, table has {a}")
     return d

@@ -1,11 +1,13 @@
 """On-disk formats: JSON complex documents, zigzag multisets, dot lists.
 
 Rationals serialize as strings ``"n"`` or ``"n/d"`` with d > 0 and the
-fraction in lowest terms.  Dimension grids serialize as ``dims[p][q]``.
+fraction in lowest terms, and the parser reads no other spelling (a JSON
+integer aside).  Dimension grids serialize as ``dims[p][q]``.
 Zero maps and maps touching a zero-dimensional spot are omitted from the
 document; the parser rejects the latter if present.  Round trip is exact:
 ``parse(serialize(K))`` reproduces ``K`` including every matrix entry.
-The parsers refuse documents larger than :data:`MAX_SIZE`.
+The parsers refuse documents larger than :data:`MAX_SIZE`, and raise
+:class:`ParseError` on any text or bytes that JSON cannot decode.
 """
 
 import json
@@ -33,18 +35,21 @@ def fraction_to_str(x):
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+# The strings that :func:`fraction_to_str` writes, and the only ones read.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
+
+
 def str_to_fraction(s):
-    if isinstance(s, bool):
-        raise ParseError(f"not a rational: {s!r}")
-    if isinstance(s, int):
+    if _is_int(s):
         return Fraction(s)
-    if not isinstance(s, str):
-        raise ParseError(f"not a rational: {s!r}")
+    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
+        raise ParseError(f"not a rational: {s!r:.40}")
     try:
         f = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {s!r}: {exc}")
-    if "/" in s and int(s.split("/")[1]) != f.denominator:
+        raise ParseError(f"bad rational {s!r:.40}: {exc}")
+    if m[1] and int(m[1]) != f.denominator:
         raise ParseError(f"rational {s!r} is not in lowest terms")
     return f
 
@@ -139,12 +144,20 @@ def doc_to_complex(doc):
                          parse_maps("d_vert", False))
 
 
-def json_to_complex(text):
+def _read_json(data):
+    """``json.loads`` of text or bytes; every way it fails is a ParseError.
+
+    Bad syntax, bad UTF-8 and integer literals too long to convert raise
+    ``ValueError``; nesting too deep to decode raises ``RecursionError``.
+    """
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}")
-    return doc_to_complex(doc)
+
+
+def json_to_complex(data):
+    return doc_to_complex(_read_json(data))
 
 
 def multiset_to_doc(multiset, grid):
@@ -189,31 +202,20 @@ def doc_to_multiset(doc):
     return out, (p_max, q_max)
 
 
-def json_to_multiset(text):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}")
-    return doc_to_multiset(doc)
+def json_to_multiset(data):
+    return doc_to_multiset(_read_json(data))
 
 
-_DOT_LIST = re.compile(r"\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*")
+_DOT = r"\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*"
+_DOT_LIST = re.compile(rf"{_DOT}(?:,{_DOT})*")
 
 
 def parse_dot_list(text):
     """Parse the textual shape encoding ``(p,q),(p,q),...``."""
-    dots = []
-    pos = 0
-    while pos < len(text):
-        m = _DOT_LIST.match(text, pos)
-        if not m:
-            raise ParseError(f"bad dot list near {text[pos:pos + 12]!r}")
-        dots.append((int(m.group(1)), int(m.group(2))))
-        pos = m.end()
-        if pos < len(text):
-            if text[pos] != ",":
-                raise ParseError(f"expected ',' near {text[pos:pos + 12]!r}")
-            pos += 1
-    if not dots:
-        raise ParseError("empty dot list")
-    return dots
+    if not _DOT_LIST.fullmatch(text):
+        raise ParseError(f"bad dot list {text!r:.40}: "
+                         "expected (p,q),(p,q),...")
+    try:
+        return [(int(p), int(q)) for p, q in re.findall(_DOT, text)]
+    except ValueError as exc:
+        raise ParseError(f"bad dot list: {exc}")

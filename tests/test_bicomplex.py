@@ -116,6 +116,19 @@ def test_validated_total_differentials_are_reused():
     assert total_differential(bad, 0) is not total_differential(bad, 0)
 
 
+def test_constructor_rejects_bad_grids():
+    with pytest.raises(ValueError, match="grid bounds must be non-negative"):
+        DoubleComplex(-1, 0, [])
+    with pytest.raises(ValueError, match=r"dims grid has shape \(1, 2\), "
+                                         r"expected \(2, 1\)"):
+        DoubleComplex(1, 0, [[1, 1]])
+    with pytest.raises(ValueError, match="spot dimensions must be non-neg"):
+        DoubleComplex(1, 0, [[1], [-1]])
+    # Any iterable of rows is a dims grid or a matrix.
+    K = DoubleComplex(1, 0, ((1,), (1,)), {(0, 0): iter([(3,)])})
+    assert K == DoubleComplex(1, 0, [[1], [1]], {(0, 0): [[3]]})
+
+
 def test_maps_are_frozen_copies():
     m = [[1]]
     dims = [[1], [1]]

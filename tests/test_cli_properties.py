@@ -1,9 +1,9 @@
 """Property test of the command line: any arguments, any document.
 
 ``cli.main`` runs in-process on small random documents (valid complexes,
-broken complexes, zigzag multisets and arbitrary JSON) and random argument
-lists.  It must end with exit code 0, 1 or 2, returned or raised by argparse
-as ``SystemExit``, and never with another exception.
+broken complexes, zigzag multisets, arbitrary JSON and hostile bytes) and
+random argument lists.  It must end with exit code 0, 1 or 2, returned or
+raised by argparse as ``SystemExit``, and never with another exception.
 """
 
 import contextlib
@@ -29,23 +29,35 @@ JSON = st.recursive(
                                        "grid", "zigzags", "dots", "mult"]),
                       inner, max_size=3),
     max_leaves=8)
+# Bytes that no parser should choke on: an integer literal too long to
+# convert, nesting too deep to decode, bytes that are not UTF-8, and
+# rationals in a spelling the writer never uses.
+HOSTILE = [b"1" * 5000, b"[" * 200000, b"\xff", b'{"p_max": \xff}',
+           *(json.dumps({"p_max": 1, "q_max": 0, "dims": [[1], [1]],
+                         "d_horiz": [{"p": 0, "q": 0, "m": [[x]]}]}).encode()
+             for x in ("1e999999999", "1e1000000", "0x10", "1" * 5000))]
 
 
 @st.composite
 def documents(draw):
-    """The text of a small random document of one of four kinds."""
+    """The bytes of a small random document of one of five kinds."""
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     p_max, q_max = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    kind = draw(st.sampled_from(["valid", "broken", "multiset", "json"]))
+    kind = draw(st.sampled_from(["valid", "broken", "multiset", "json",
+                                 "hostile"]))
+    if kind == "hostile":
+        return draw(st.sampled_from(HOSTILE))
     if kind == "valid" and p_max and q_max:
-        return complex_to_json(random_complex(rng, p_max, q_max,
+        text = complex_to_json(random_complex(rng, p_max, q_max,
                                               max_shapes=2))
-    if kind == "broken" and p_max and q_max:
-        return complex_to_json(corrupted_complex(rng, p_max, q_max))
-    if kind == "multiset":
+    elif kind == "broken" and p_max and q_max:
+        text = complex_to_json(corrupted_complex(rng, p_max, q_max))
+    elif kind == "multiset":
         grid = (p_max, q_max)
-        return json.dumps(multiset_to_doc(random_multiset(rng, grid), grid))
-    return json.dumps(draw(JSON))
+        text = json.dumps(multiset_to_doc(random_multiset(rng, grid), grid))
+    else:
+        text = json.dumps(draw(JSON))
+    return text.encode()
 
 
 @st.composite
@@ -80,10 +92,10 @@ def arguments(draw, path, out):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(documents(), st.data())
-def test_cli_ends_with_exit_code_0_1_or_2(tmp_path_factory, text, data):
+def test_cli_ends_with_exit_code_0_1_or_2(tmp_path_factory, document, data):
     folder = tmp_path_factory.mktemp("cli")
     path, out = str(folder / "doc.json"), str(folder / "out.json")
-    (folder / "doc.json").write_text(text)
+    (folder / "doc.json").write_bytes(document)
     argv = data.draw(arguments(path, out))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \

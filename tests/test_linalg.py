@@ -141,3 +141,27 @@ def test_from_rows_shape_check():
         linalg.from_rows(2, 2, [[1, 2, 3], [4, 5, 6]])
     with pytest.raises(TypeError):
         linalg.from_rows(1, 1, [[0.5]])
+
+
+def test_constructors_take_any_iterable_of_rows():
+    rows = [[1, Fraction(1, 2)], [0, 3]]
+    m = linalg.from_rows(2, 2, rows)
+    assert linalg.from_rows(2, 2, (tuple(r) for r in rows)) == m
+    assert linalg.as_matrix(iter(rows)) == m
+    assert linalg.as_matrix(m) is m
+    assert linalg.as_matrix([]).shape == (0, 0)
+    assert linalg.as_matrix([[], []]).shape == (2, 0)
+    g = linalg.Grid([[1, 2], [3, 4]])
+    assert linalg.Grid(g) == g == linalg.Grid(map(tuple, g.tolist()))
+    with pytest.raises(ValueError):
+        linalg.Grid([[1, 2], [3]])
+
+
+def test_constructors_read_numpy_arrays_by_their_rows():
+    np = pytest.importorskip("numpy")
+    a = np.arange(6).reshape(2, 3)
+    m = linalg.as_matrix(a)
+    assert m == linalg.from_rows(2, 3, a) == linalg.from_rows(2, 3, a.tolist())
+    assert all(type(x) is int for row in m.rows for x in row.values())
+    assert linalg.Grid(a) == linalg.Grid(a.tolist())
+    assert linalg.as_matrix(np.zeros((3, 0), dtype=int)).shape == (3, 0)

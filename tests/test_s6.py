@@ -1,15 +1,17 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from frolicher.bicomplex import dual, validate
-from frolicher.cohomology import dolbeault
+from frolicher.cohomology import BettiVector, dolbeault
 from frolicher.s6 import (DiamondParams, InadmissibleParamsError,
                           InferenceMismatchError, check_constraints,
                           compute_model_tables, enumerate_diamonds,
-                          family_counts, infer_params, model_multiset,
-                          predicted_tables, realize_model, verify_model)
-from frolicher.spectral import degeneration_page, pages_filtration
+                          family_counts, infer_params, model_mismatches,
+                          model_multiset, predicted_tables, realize_model,
+                          verify_model)
+from frolicher.spectral import PageTable, degeneration_page, pages_filtration
 from frolicher.zigzag import canonicalize_shape
 
 ETESI = DiamondParams(0, 0, 1, 0, 0)
@@ -194,6 +196,38 @@ def test_named_scenarios():
     assert not pages[1].same_entries(pages[2])
     assert pages[2].same_entries(pages[3])
     assert degeneration_page(K2) == 3
+
+
+def test_model_mismatches_name_table_and_spot():
+    # The tables of h11 = 2 diffed against the predictions for h11 = 1.
+    got = compute_model_tables(realize_model(DiamondParams(0, 0, 2, 0, 0)))
+    assert model_mismatches(ETESI, got) == [
+        "E1 at (1,1): expected 1, computed 2",
+        "E1 at (1,2): expected 0, computed 1",
+        "E1 at (2,1): expected 0, computed 1",
+        "E1 at (2,2): expected 1, computed 2",
+        "bott_chern at (1,2): expected 0, computed 1",
+        "bott_chern at (2,1): expected 0, computed 1",
+        "bott_chern at (2,2): expected 0, computed 2",
+        "aeppli at (1,1): expected 0, computed 2",
+        "aeppli at (1,2): expected 0, computed 1",
+        "aeppli at (2,1): expected 0, computed 1",
+    ]
+    good = compute_model_tables(realize_model(ETESI))
+    assert model_mismatches(ETESI, good) == []
+    # E_1 in place of the stable E_4, and a wrong Betti vector and genus.
+    e1 = good.pages[0].grid
+    bad = replace(good, pages=(*good.pages[:3], PageTable(4, e1)),
+                  betti=BettiVector((1, 0, 0, 0, 0, 0, 0)), genus=1)
+    assert model_mismatches(ETESI, bad) == [
+        "E4 at (0,1): expected 0, computed 1",
+        "E4 at (1,1): expected 0, computed 1",
+        "E4 at (2,2): expected 0, computed 1",
+        "E4 at (3,2): expected 0, computed 1",
+        "betti: expected (1, 0, 0, 0, 0, 0, 1), "
+        "computed (1, 0, 0, 0, 0, 0, 0)",
+        "arithmetic genus: expected 0, computed 1",
+    ]
 
 
 def test_infer_round_trip():

@@ -7,15 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from frolicher import linalg
+from frolicher import cli, linalg, s6
 from frolicher.bicomplex import DoubleComplex
 from frolicher.cli import MAX_BOUND, main
-from frolicher.s6 import DiamondParams, realize_model
+from frolicher.s6 import DiamondParams, compute_model_tables, realize_model
 from frolicher.serialize import (MAX_SIZE, ParseError, complex_to_json,
                                  doc_to_complex, fraction_to_str,
                                  json_to_complex, json_to_multiset,
                                  multiset_to_json, parse_dot_list,
                                  str_to_fraction)
+from frolicher.spectral import pages_filtration
 from frolicher.zigzag import canonicalize_shape
 from genutil import random_complex, random_multiset
 
@@ -32,6 +33,14 @@ def test_fraction_strings():
         str_to_fraction("a/b")
     with pytest.raises(ParseError):
         str_to_fraction(None)
+    # Only the writer's own grammar is read: "1e1000000" once built a
+    # 3.3-million-bit integer, and "1e999999999" ran for over a minute.
+    for x in (Fraction(0), Fraction(-3, 7), Fraction(10 ** 40, 3)):
+        assert str_to_fraction(fraction_to_str(x)) == x
+    for bad in ("1e1000000", "1e999999999", "1.5", "+1", " 1", "1_000",
+                "\u0663", "1/-2", "-/2", "1/", "", True, 1.0, [1]):
+        with pytest.raises(ParseError):
+            str_to_fraction(bad)
 
 
 def test_round_trip_with_rationals():
@@ -101,7 +110,9 @@ def test_multiset_round_trip():
 def test_parse_dot_list():
     assert parse_dot_list("(0,1),(1,1)") == [(0, 1), (1, 1)]
     assert parse_dot_list(" ( 2 , 0 ) ") == [(2, 0)]
-    for bad in ("", "(1,2", "1,2", "(1,2)x", "(1,2),,(2,2)"):
+    assert parse_dot_list("(0,0) ,( 1,0 ),(1,1)") == [(0, 0), (1, 0), (1, 1)]
+    for bad in ("", "(1,2", "1,2", "(1,2)x", "(1,2),,(2,2)", "(1,2),",
+                ",(1,2)", "(1,2)(2,2)", "(-1,2)", f"({'1' * 5000},0)"):
         with pytest.raises(ParseError):
             parse_dot_list(bad)
 
@@ -137,6 +148,50 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     path.write_text("{")
     assert main(["validate", str(path)]) == 2
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+def one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# Documents that once ended in a traceback with exit 1: a JSON integer too
+# long to convert, nesting too deep to decode, and bytes that are not UTF-8.
+HOSTILE = {"long_integer": b"1" * 5000, "deep_nesting": b"[" * 200000,
+           "invalid_utf8": b"\xff"}
+
+
+@pytest.mark.parametrize("command", ["validate", "synth"])
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_cli_hostile_documents_exit_2(name, command, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(HOSTILE[name])
+    out = tmp_path / "out.json"
+    argv = (["validate", str(path)] if command == "validate"
+            else ["zigzag", "synth", str(path), "-o", str(out)])
+    assert main(argv) == 2
+    assert one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["1e1000000", "1e999999999"])
+def test_cli_rejects_exponent_rationals_at_once(entry, tmp_path):
+    # A child process with a timeout: before the grammar check the second
+    # entry ran for more than a minute.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(arrow_doc(entry=entry)))
+    res = subprocess.run([sys.executable, "-m", "frolicher.cli", "validate",
+                          str(path)], capture_output=True, text=True,
+                         timeout=20)
+    assert res.returncode == 2
+    assert res.stderr == f"error: not a rational: {entry!r}\n"
+
+
+def test_cli_zigzag_profile_rejects_overlong_dot(capsys):
+    argv = ["zigzag", "profile", "--dots", f"({'1' * 5000},0)"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert one_error_line(err) and "bad dot list" in err
 
 
 def validate_doc(tmp_path, capsys, doc):
@@ -196,6 +251,27 @@ def test_cli_pages_and_degeneration(tmp_path, capsys):
     assert "E_1:" in out and "E_4:" in out
     assert main(["degeneration", path]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_cli_pages_explicit_prints_the_filtration_tables(tmp_path, capsys):
+    path = write_etesi(tmp_path)
+    assert main(["pages", path, "--max", "3"]) == 0
+    filtration = capsys.readouterr().out
+    assert main(["pages", path, "--max", "3", "--method", "explicit"]) == 0
+    assert capsys.readouterr().out == filtration
+    assert filtration.count("E_") == 3
+
+
+def test_cli_pages_methods_disagree_exit_1(tmp_path, capsys, monkeypatch):
+    path = write_etesi(tmp_path)
+    # Hand the comparison the stable page in place of E_1.
+    monkeypatch.setattr(cli, "pages_explicit",
+                        lambda K, r: pages_filtration(K, r)[::-1])
+    assert main(["pages", path, "--max", "3", "--method", "both"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("page 1: filtration and explicit methods disagree")
+    assert err.count("q=0 |") == 2
 
 
 def test_cli_pages_rejects_bad_max(tmp_path, capsys):
@@ -367,6 +443,18 @@ def test_cli_s6_verify(capsys):
             "--alpha", "1", "--beta", "0"]
     assert main(argv) == 0
     assert "all tables match" in capsys.readouterr().out
+
+
+def test_cli_s6_verify_mismatch_exit_1(capsys, monkeypatch):
+    # Tables of another diamond stand in for the engine's.
+    other = compute_model_tables(realize_model(DiamondParams(1, 0, 0, 1, 0)))
+    monkeypatch.setattr(s6, "compute_model_tables", lambda K: other)
+    argv = ["s6", "verify", "--h10", "0", "--h02", "0", "--h11", "1",
+            "--alpha", "0", "--beta", "0"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "E1 at (1,0): expected 0, computed 1" in err.splitlines()
 
 
 def test_cli_output_deterministic(tmp_path, capsys):
