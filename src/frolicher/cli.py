@@ -8,10 +8,11 @@ with p increasing left to right and q increasing bottom to top.
 """
 
 import argparse
+import re
 import sys
 
 from . import serialize
-from .bicomplex import InvalidComplexError, require_valid, validate
+from .bicomplex import InvalidComplexError, validate
 from .cohomology import (aeppli, arithmetic_genus, bott_chern, de_rham,
                          dolbeault, row_cohomology)
 from .s6 import (DiamondParams, InadmissibleParamsError,
@@ -90,11 +91,7 @@ def cmd_cohomology(args):
 
 def cmd_pages(args):
     K = _load_complex(args.file)
-    require_valid(K)
     r_max = args.max if args.max is not None else stable_page_index(K)
-    if r_max < 1:
-        print("--max must be at least 1", file=sys.stderr)
-        return 1
     if args.method in ("filtration", "both"):
         tables = pages_filtration(K, r_max)
     else:
@@ -145,18 +142,19 @@ def _params(args):
 
 
 def _model_params(args):
-    """The diamond of ``args``, refused (exit 2) if its model is too large.
+    """The diamond of ``args`` and its model multiset; exit 2 if too large.
 
     The model's total dimension is mult x dots summed over its multiset,
     the size that ``serialize.MAX_SIZE`` bounds in a multiset document; it
     is checked before anything is synthesized.
     """
     d = _params(args)
-    size = sum(m * len(s) for s, m in model_multiset(d).items())
+    multiset = model_multiset(d)
+    size = sum(m * len(s) for s, m in multiset.items())
     if size > serialize.MAX_SIZE:
         args.parser.error(f"the model of {d} has total dimension {size}; "
                           f"at most {serialize.MAX_SIZE} is allowed")
-    return d
+    return d, multiset
 
 
 def cmd_s6_check(args):
@@ -183,7 +181,7 @@ def cmd_s6_enumerate(args):
 
 
 def cmd_s6_realize(args):
-    K = realize_model(_model_params(args))
+    K = realize_model(_model_params(args)[0])
     _write(args.output, serialize.complex_to_json(K))
     print(f"wrote {args.output}")
     return 0
@@ -200,7 +198,6 @@ def cmd_s6_predict(args):
 
 def cmd_s6_infer(args):
     K = _load_complex(args.file)
-    require_valid(K)
     pages = pages_filtration(K, 2)
     d = infer_params(pages[0], pages[1])
     print(d)
@@ -208,15 +205,14 @@ def cmd_s6_infer(args):
 
 
 def cmd_s6_verify(args):
-    d = _model_params(args)
+    d, multiset = _model_params(args)
     mismatches = verify_model(d)
     if mismatches:
         for line in mismatches:
             print(line, file=sys.stderr)
         return 1
-    shapes = sum(model_multiset(d).values())
     print(f"verified {d}: all tables match predictions "
-          f"({shapes} zigzag summands)")
+          f"({sum(multiset.values())} zigzag summands)")
     return 0
 
 
@@ -240,7 +236,7 @@ def build_parser():
 
     p = sub.add_parser("pages", help="spectral sequence pages")
     p.add_argument("file")
-    p.add_argument("--max", type=_int_arg(serialize.MAX_SIZE), default=None,
+    p.add_argument("--max", type=_int_arg(serialize.MAX_SIZE, low=1),
                    help=f"last page (at most {serialize.MAX_SIZE}; default "
                         "the stable page)")
     p.add_argument("--method", default="filtration",
@@ -319,7 +315,7 @@ def _int_arg(high=None, low=None):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r:.40}")
         if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"must be at most {high}")
         if low is not None and value < low:
@@ -344,14 +340,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, OSError, *DOMAIN_ERRORS) as exc:
+        # A number longer than 40 digits is cut, as the parse errors cut
+        # their excerpts, so that no input is echoed unbounded.
+        print("error:", re.sub(r"\d{41,}", lambda m: m[0][:40] + "...",
+                               str(exc)), file=sys.stderr)
         if isinstance(exc, InadmissibleParamsError):
             print(exc.report, file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, DOMAIN_ERRORS) else 2
 
 
 if __name__ == "__main__":

@@ -77,15 +77,12 @@ class DiamondParams:
 class ConstraintCheck:
     cid: str
     relation: str
-    status: str  # "holds" | "violated"
+    holds: bool
     witness: str
 
-    @property
-    def holds(self):
-        return self.status == "holds"
-
     def __str__(self):
-        return f"[{self.status:8s}] {self.cid}: {self.relation} ({self.witness})"
+        word = "holds" if self.holds else "violated"
+        return f"[{word:8s}] {self.cid}: {self.relation} ({self.witness})"
 
 
 @dataclass(frozen=True)
@@ -126,9 +123,8 @@ def check_constraints(d, assume_a0=False):
     """
     checks = []
 
-    def add(cid, relation, ok, witness):
-        checks.append(ConstraintCheck(cid, relation,
-                                      "holds" if ok else "violated", witness))
+    def add(*fields):
+        checks.append(ConstraintCheck(*fields))
 
     add("h00", "h^{0,0} = 1", d.h00 == 1, f"h00={d.h00}")
     add("h30", "h^{3,0} = 0", d.h30 == 0, f"h30={d.h30}")
@@ -205,11 +201,15 @@ def _orbit(dots):
 _ORBITS = [(count, _orbit(dots)) for _name, dots, count in FAMILIES]
 
 
-def model_multiset(d):
-    """Zigzag multiset of the model: family orbits at the family counts."""
+def _require_admissible(d):
     report = check_constraints(d)
     if not report.all_hold:
         raise InadmissibleParamsError(report)
+
+
+def model_multiset(d):
+    """Zigzag multiset of the model: family orbits at the family counts."""
+    _require_admissible(d)
     out = Counter()
     for count, orbit in _ORBITS:
         mult = count(d)
@@ -240,9 +240,8 @@ def predicted_tables(d):
     the zigzag model attains h12 + beta there, and the (2,2) entry follows
     from 2*h^{2,1}_BC - 2*h^{0,1} + 2.
     """
-    report = check_constraints(d)
-    if not report.all_hold:
-        raise InadmissibleParamsError(report)
+    _require_admissible(d)
+
     def grid(entries):
         return Grid([[entries.get((p, q), 0) for q in range(4)]
                      for p in range(4)])

@@ -12,6 +12,7 @@ The parsers refuse documents larger than :data:`MAX_SIZE`, and raise
 
 import json
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -147,13 +148,17 @@ def doc_to_complex(doc):
 def _read_json(data):
     """``json.loads`` of text or bytes; every way it fails is a ParseError.
 
-    Bad syntax, bad UTF-8 and integer literals too long to convert raise
-    ``ValueError``; nesting too deep to decode raises ``RecursionError``.
+    Bad syntax and bad UTF-8 raise a ``ValueError`` subclass, nesting too
+    deep to decode ``RecursionError``, and an integer literal longer than
+    the interpreter converts a plain ``ValueError``.
     """
     try:
         return json.loads(data)
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}")
+    except ValueError:
+        raise ParseError("invalid JSON: an integer literal has more than "
+                         f"{sys.get_int_max_str_digits()} digits")
 
 
 def json_to_complex(data):

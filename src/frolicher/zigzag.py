@@ -7,7 +7,9 @@ makes the realized complex anticommute for free), and no dot repeats.  Of
 the two end-to-end orderings the canonical one starts at the
 lexicographically smaller end.
 
-Multisets of shapes synthesize to direct sums of one-dimensional realizations.
+Each step is one arrow, from its lower dot to its higher one, named as a
+complex names its arrows: by the ``(source, target)`` pair.  Multisets of
+shapes synthesize to direct sums of one-dimensional realizations.
 Squares (2x2 blocks of isomorphisms) are deliberately not part of the
 language: they contribute nothing to any cohomology table.
 """
@@ -15,7 +17,7 @@ language: they contribute nothing to any cohomology table.
 from dataclasses import dataclass
 
 from . import linalg
-from .bicomplex import DoubleComplex
+from .bicomplex import _from_arrows
 from .cohomology import aeppli, bott_chern, de_rham, dolbeault, row_cohomology
 from .spectral import pages_filtration, stable_page_index
 
@@ -39,18 +41,12 @@ class ZigzagShape:
         return ",".join(f"({p},{q})" for p, q in self.dots)
 
     def arrows(self):
-        """Implied arrows as (src, dst, kind) with kind 'h' or 'v'.
+        """Implied arrows as ``(source, target)`` pairs of dots.
 
         Each arrow points from the lower dot to the higher dot of its step.
         """
-        out = []
-        for a, b in zip(self.dots, self.dots[1:]):
-            if sum(b) > sum(a):
-                src, dst = a, b
-            else:
-                src, dst = b, a
-            out.append((src, dst, "h" if dst[0] == src[0] + 1 else "v"))
-        return out
+        return [(a, b) if sum(b) > sum(a) else (b, a)
+                for a, b in zip(self.dots, self.dots[1:])]
 
 
 def canonicalize_shape(dots):
@@ -104,7 +100,7 @@ def synthesize(multiset, grid):
     # Each summand takes the next free coordinate at each of its dots, and
     # each of its arrows puts a 1 at (target coordinate, source coordinate).
     used = {}
-    ones = {"h": {}, "v": {}}
+    ones = {}
     for shape in summands:
         spot_of = {}
         for p, q in shape.dots:
@@ -112,18 +108,15 @@ def synthesize(multiset, grid):
                 raise GridError(f"dot ({p},{q}) outside grid {p_max}x{q_max}")
             spot_of[p, q] = used.get((p, q), 0)
             used[p, q] = spot_of[p, q] + 1
-        for src, dst, kind in shape.arrows():
-            ones[kind].setdefault((src, dst), {})[spot_of[dst]] = spot_of[src]
+        for src, dst in shape.arrows():
+            ones.setdefault((src, dst), {})[spot_of[dst]] = spot_of[src]
     dims = [[used.get((p, q), 0) for q in range(q_max + 1)]
             for p in range(p_max + 1)]
-
-    def maps(kind):
-        return {src: linalg.Matrix((used[dst], used[src]),
-                                   [{col[i]: 1} if i in col else {}
-                                    for i in range(used[dst])])
-                for (src, dst), col in ones[kind].items()}
-
-    return DoubleComplex(p_max, q_max, dims, maps("h"), maps("v"))
+    return _from_arrows(p_max, q_max, dims, {
+        (src, dst): linalg.Matrix((used[dst], used[src]),
+                                  [{col[i]: 1} if i in col else {}
+                                   for i in range(used[dst])])
+        for (src, dst), col in ones.items()})
 
 
 def mirror_shape(shape, kind, grid):

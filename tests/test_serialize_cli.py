@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -151,8 +152,10 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
 
 
 def one_error_line(err):
+    """One ``error:`` line, short enough that it echoes no input unbounded."""
     lines = err.splitlines()
-    return len(lines) == 1 and lines[0].startswith("error: ")
+    return (len(lines) == 1 and lines[0].startswith("error: ")
+            and len(lines[0]) <= 200)
 
 
 # Documents that once ended in a traceback with exit 1: a JSON integer too
@@ -170,8 +173,41 @@ def test_cli_hostile_documents_exit_2(name, command, tmp_path, capsys):
     argv = (["validate", str(path)] if command == "validate"
             else ["zigzag", "synth", str(path), "-o", str(out)])
     assert main(argv) == 2
-    assert one_error_line(capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert one_error_line(err) and "sys." not in err
     assert not out.exists()
+
+
+def test_cli_names_the_overlong_integer_literal(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(HOSTILE["long_integer"])
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid JSON: an integer literal has more than "
+        f"{sys.get_int_max_str_digits()} digits\n")
+
+
+# Shape and grid errors that once echoed whole 4,000-digit dots: a dot
+# list for ``zigzag profile``, and the dots of a one-zigzag multiset for
+# ``zigzag synth`` (outside the grid, and a non-unit step).
+NINES = "9" * 4000
+OVERLONG_DOTS = [("profile", f"({NINES},0),({NINES},1)"),
+                 ("synth", f"[[{NINES},0],[{NINES},1]]"),
+                 ("synth", f"[[0,0],[{NINES},5]]")]
+
+
+@pytest.mark.parametrize("command, dots", OVERLONG_DOTS,
+                         ids=["profile", "synth_outside", "synth_step"])
+def test_cli_cuts_overlong_numbers_in_error_lines(command, dots, tmp_path,
+                                                  capsys):
+    src = tmp_path / "multiset.json"
+    src.write_text('{"grid": {"p_max": 3, "q_max": 3}, '
+                   f'"zigzags": [{{"dots": {dots}, "mult": 1}}]}}')
+    argv = (["zigzag", "profile", "--dots", dots] if command == "profile"
+            else ["zigzag", "synth", str(src), "-o", str(tmp_path / "o.json")])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert one_error_line(err) and "9" * 40 + "..." in err
 
 
 @pytest.mark.parametrize("entry", ["1e1000000", "1e999999999"])
@@ -274,16 +310,23 @@ def test_cli_pages_methods_disagree_exit_1(tmp_path, capsys, monkeypatch):
     assert err.count("q=0 |") == 2
 
 
-def test_cli_pages_rejects_bad_max(tmp_path, capsys):
-    path = write_etesi(tmp_path)
-    assert main(["pages", path, "--max", "0"]) == 1
-
-
 def usage_error(capsys, argv):
     """Exit code and stderr of an argument that argparse refuses."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     return exc.value.code, capsys.readouterr().err
+
+
+def test_cli_pages_rejects_bad_max(tmp_path, capsys):
+    path = write_etesi(tmp_path)
+    for bad in ("0", "-2"):
+        code, err = usage_error(capsys, ["pages", path, "--max", bad])
+        assert code == 2
+        assert "--max: must be at least 1" in err
+    # An argument error repeats at most 40 characters of the argument.
+    code, err = usage_error(capsys, ["pages", path, "--max", "9" * 5000])
+    assert code == 2
+    assert f"invalid integer '{'9' * 39}\n" in err
 
 
 def test_cli_pages_rejects_max_above_max_size(tmp_path, capsys):
@@ -301,6 +344,17 @@ def test_cli_zigzag_profile(capsys):
     assert "E_1:" in out and "bott_chern:" in out
     assert main(["zigzag", "profile", "--dots", "(0,0),(1,0),(1,1)"]) == 1
     assert "ascending" in capsys.readouterr().err
+
+
+def test_cli_zigzag_profile_output(capsys):
+    # The whole stdout: the shape line, the pages, the four grid theories
+    # and the Betti numbers of the length-4 zigzag, as sha256 of its text.
+    argv = ["zigzag", "profile", "--dots", "(0,1),(1,1),(1,0),(2,0)"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("shape: (0,1),(1,1),(1,0),(2,0)\nE_1:\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e2bbd01af15238ea01c7fb9da65765d67c04745faa272f0cdf42ccb9e6d3f450")
 
 
 def test_cli_zigzag_synth_round_trip(tmp_path, capsys):
@@ -366,6 +420,62 @@ def test_cli_s6_check(capsys):
                 "--alpha", "0", "--beta", "0"]
     assert main(argv_bad) == 1
     assert "violated" in capsys.readouterr().err
+
+
+def s6_argv(command, h10, h02, h11, alpha, beta):
+    return ["s6", command, "--h10", str(h10), "--h02", str(h02),
+            "--h11", str(h11), "--alpha", str(alpha), "--beta", str(beta)]
+
+
+def test_cli_s6_check_output(capsys):
+    assert main([*s6_argv("check", 1, 1, 2, 1, 1), "--assume-a0"]) == 0
+    assert capsys.readouterr() == ("""\
+[holds   ] h00: h^{0,0} = 1 (h00=1)
+[holds   ] h30: h^{3,0} = 0 (h30=0)
+[holds   ] h01-h02: h^{0,1} = h^{0,2} + 1 (h01=2 h02=1)
+[holds   ] h20-h11-h10-h12: h^{2,0} + h^{1,1} = h^{1,0} + h^{1,2} + 1 \
+(h20=2 h11=2 h10=1 h12=2)
+[holds   ] h10-h20: h^{1,0} <= h^{2,0} (h10=1 h20=2)
+[holds   ] h11-ugarte: h^{1,1} >= h^{1,2} - h^{0,2} (h11=2 h12=2 h02=1)
+[holds   ] h2var: h_2^{0,1} = h^{1,2} - h^{1,1} + 1 (alpha=1 h12=2 h11=2)
+[holds   ] h2ug2: h_2^{0,1} = h_2^{2,0} = h_2^{1,3} = h_2^{3,2} \
+(all equal alpha=1)
+[holds   ] h2ug3: h_2^{2,1} = h_2^{0,2} = h_2^{1,2} = h_2^{3,1} \
+(all equal beta=1)
+[holds   ] e2-serre: h_2^{p,q} = h_2^{3-p,3-q} \
+(second page written reflection-symmetrically)
+[holds   ] count-c: h_2^{0,1} <= h^{0,1} (length-2 family at (0,1) counts \
+h^{0,2}+1-alpha >= 0) (count=1)
+[holds   ] count-d: h_2^{0,2} <= h^{0,2} (length-2 family at (0,2) counts \
+h^{0,2}-beta >= 0) (count=0)
+[holds   ] count-h: h^{1,2} >= h^{0,2} (length-2 family at (1,1) counts \
+h^{1,1}-h^{0,2}+alpha-1 >= 0) (count=1)
+[holds   ] h10-1: h^{1,0} <= 1 (zero algebraic dimension) (h10=1)
+admissible
+""", "")
+    assert main(s6_argv("check", 3, 0, 0, 2, 1)) == 1
+    assert capsys.readouterr() == ("", """\
+[holds   ] h00: h^{0,0} = 1 (h00=1)
+[holds   ] h30: h^{3,0} = 0 (h30=0)
+[holds   ] h01-h02: h^{0,1} = h^{0,2} + 1 (h01=1 h02=0)
+[holds   ] h20-h11-h10-h12: h^{2,0} + h^{1,1} = h^{1,0} + h^{1,2} + 1 \
+(h20=5 h11=0 h10=3 h12=1)
+[holds   ] h10-h20: h^{1,0} <= h^{2,0} (h10=3 h20=5)
+[violated] h11-ugarte: h^{1,1} >= h^{1,2} - h^{0,2} (h11=0 h12=1 h02=0)
+[holds   ] h2var: h_2^{0,1} = h^{1,2} - h^{1,1} + 1 (alpha=2 h12=1 h11=0)
+[holds   ] h2ug2: h_2^{0,1} = h_2^{2,0} = h_2^{1,3} = h_2^{3,2} \
+(all equal alpha=2)
+[holds   ] h2ug3: h_2^{2,1} = h_2^{0,2} = h_2^{1,2} = h_2^{3,1} \
+(all equal beta=1)
+[holds   ] e2-serre: h_2^{p,q} = h_2^{3-p,3-q} \
+(second page written reflection-symmetrically)
+[violated] count-c: h_2^{0,1} <= h^{0,1} (length-2 family at (0,1) counts \
+h^{0,2}+1-alpha >= 0) (count=-1)
+[violated] count-d: h_2^{0,2} <= h^{0,2} (length-2 family at (0,2) counts \
+h^{0,2}-beta >= 0) (count=-1)
+[holds   ] count-h: h^{1,2} >= h^{0,2} (length-2 family at (1,1) counts \
+h^{1,1}-h^{0,2}+alpha-1 >= 0) (count=1)
+""")
 
 
 def test_cli_s6_enumerate(capsys):
