@@ -10,15 +10,14 @@ hypothetical complex structure on the six-sphere.
 
 from .bicomplex import (DoubleComplex, InvalidComplexError, Violation,
                         conjugate, direct_sum, dual, empty_complex, validate)
-from .cohomology import (BettiVector, CohomologyTable, aeppli,
-                         arithmetic_genus, bott_chern, de_rham, dolbeault,
-                         row_cohomology)
+from .cohomology import (BettiVector, Table, aeppli, arithmetic_genus,
+                         bott_chern, de_rham, dolbeault, row_cohomology)
 from .s6 import (ConstraintReport, DiamondParams, InadmissibleParamsError,
                  InferenceMismatchError, check_constraints, enumerate_diamonds,
                  infer_params, model_multiset, predicted_tables, realize_model,
                  verify_model)
-from .spectral import (PageTable, degeneration_page, euler_char_of_page,
-                       pages_explicit, pages_filtration, stable_page_index)
+from .spectral import (degeneration_page, euler_char_of_page, pages_explicit,
+                       pages_filtration, stable_page_index)
 from .zigzag import (ContributionProfile, GridError, ShapeError, ZigzagShape,
                      canonicalize_shape, contribution_profile,
                      enumerate_shapes, mirror_shape, realize_shape, synthesize)
@@ -28,9 +27,9 @@ __version__ = "0.1.0"
 __all__ = [
     "DoubleComplex", "InvalidComplexError", "Violation", "validate",
     "direct_sum", "dual", "conjugate", "empty_complex",
-    "CohomologyTable", "BettiVector", "dolbeault", "row_cohomology",
+    "Table", "BettiVector", "dolbeault", "row_cohomology",
     "de_rham", "bott_chern", "aeppli", "arithmetic_genus",
-    "PageTable", "pages_filtration", "pages_explicit", "degeneration_page",
+    "pages_filtration", "pages_explicit", "degeneration_page",
     "euler_char_of_page", "stable_page_index",
     "ZigzagShape", "ShapeError", "GridError", "canonicalize_shape",
     "realize_shape", "synthesize", "mirror_shape", "contribution_profile",

@@ -23,7 +23,6 @@ them to the pages and to de Rham cohomology, so each is assembled once.
 Values are immutable once built; every operation here is a pure function.
 """
 
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import linalg
@@ -32,13 +31,9 @@ from . import linalg
 _set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(linalg.Record):
     """One broken axiom, located at the bidegree where it was detected."""
-    p: int
-    q: int
-    axiom: str
-    detail: str
+    __slots__ = ("p", "q", "axiom", "detail")
 
     def __str__(self):
         return f"({self.p},{self.q}) {self.axiom}: {self.detail}"
@@ -102,25 +97,10 @@ class DoubleComplex(linalg._Immutable):
             return self.dims[p, q]
         return 0
 
-    def dh(self, p, q):
-        """Horizontal differential out of ``(p, q)`` (canonical zero if absent)."""
-        m = self._arrows.get(((p, q), (p + 1, q)))
-        if m is None:
-            return linalg.zeros(self.dim(p + 1, q), self.dim(p, q))
-        return m
-
-    def dv(self, p, q):
-        """Vertical differential out of ``(p, q)`` (canonical zero if absent)."""
-        m = self._arrows.get(((p, q), (p, q + 1)))
-        if m is None:
-            return linalg.zeros(self.dim(p, q + 1), self.dim(p, q))
-        return m
-
     def arrow(self, source, target):
         """The stored matrix of the arrow ``source -> target``, or ``None``.
 
-        ``None`` means the map is zero; unlike :meth:`dh` / :meth:`dv`,
-        nothing is allocated for it.
+        ``None`` means the map is zero, and nothing is allocated for it.
         """
         return self._arrows.get((source, target))
 
@@ -131,11 +111,6 @@ class DoubleComplex(linalg._Immutable):
         for them.
         """
         return self._arrows.items()
-
-    def spots(self):
-        for p in range(self.p_max + 1):
-            for q in range(self.q_max + 1):
-                yield p, q
 
     def total_dim(self):
         return sum(map(sum, self.dims))

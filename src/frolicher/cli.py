@@ -3,8 +3,12 @@
 Exit codes: 0 success, 1 domain error (validation failure, inadmissible
 parameters, inference or verification mismatch) with the report on stderr,
 2 I/O, parse or argument error.  Numeric arguments have upper bounds, so
-that no argument can ask for an unbounded allocation or run.  Tables render
-with p increasing left to right and q increasing bottom to top.
+that no argument can ask for an unbounded allocation or run, and no error
+or report repeats an unbounded number.  The five ``s6`` parameters are at
+most ``serialize.MAX_SIZE``: a model's total dimension is 2 + 8 (h10 + h02 +
+h11 + beta) + 16 alpha, so a larger parameter has no model that ``realize``
+or ``verify`` would build.  Tables render with p increasing left to right
+and q increasing bottom to top.
 """
 
 import argparse
@@ -99,7 +103,7 @@ def cmd_pages(args):
     if args.method == "both":
         other = pages_explicit(K, r_max)
         for a, b in zip(tables, other):
-            if not a.same_entries(b):
+            if a.grid != b.grid:
                 print(f"page {a.r}: filtration and explicit methods disagree",
                       file=sys.stderr)
                 print(render_grid(a.grid), file=sys.stderr)
@@ -272,8 +276,9 @@ def build_parser():
     s6sub = s6p.add_subparsers(dest="s6_command", required=True)
 
     def add_params(q):
+        bounded = _int_arg(serialize.MAX_SIZE, low=0)
         for name in ("h10", "h02", "h11", "alpha", "beta"):
-            q.add_argument(f"--{name}", type=_int_arg(low=0), required=True)
+            q.add_argument(f"--{name}", type=bounded, required=True)
         q.set_defaults(parser=q)
 
     p = s6sub.add_parser("check", help="constraint report for one tuple")

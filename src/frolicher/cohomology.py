@@ -22,8 +22,6 @@ ker(out), so the count is exact.  The maps are
 Each map is ranked once, however many spots it is charged to.
 """
 
-from dataclasses import dataclass
-
 from . import linalg
 from .bicomplex import (block, degree_spots, require_valid,
                         total_differential)
@@ -31,28 +29,23 @@ from .bicomplex import (block, degree_spots, require_valid,
 THEORIES = ("dolbeault", "row", "bott_chern", "aeppli")
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
-    """Frozen grid of dimensions for one theory, indexed as ``grid[p, q]``."""
-    theory: str
-    grid: linalg.Grid
+class Table(linalg.Record):
+    """A frozen grid of dimensions, indexed as ``grid[p, q]``: page ``r``
+    of the spectral sequence, or the table of one of the ``THEORIES``.
+    The label that does not apply is ``None``."""
+    __slots__ = ("grid", "r", "theory")
 
-    def __post_init__(self):
-        if self.theory not in THEORIES:
-            raise ValueError(f"unknown theory {self.theory!r}")
-        if not isinstance(self.grid, linalg.Grid):
-            object.__setattr__(self, "grid", linalg.Grid(self.grid))
-
-    def entry(self, p, q):
-        return self.grid[p, q]
-
-    __hash__ = None
+    def __init__(self, grid, r=None, theory=None):
+        if theory is not None and theory not in THEORIES:
+            raise ValueError(f"unknown theory {theory!r}")
+        if not isinstance(grid, linalg.Grid):
+            grid = linalg.Grid(grid)
+        super().__init__(grid, r, theory)
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(linalg.Record):
     """Total-complex cohomology dimensions b_0 .. b_{p_max+q_max}."""
-    b: tuple
+    __slots__ = ("b",)
 
     def __getitem__(self, k):
         return self.b[k]
@@ -70,7 +63,7 @@ def _table(theory, K, maps):
             r = linalg.rank(m)
             for p, q in spots:
                 g[p][q] -= r
-    return CohomologyTable(theory, g)
+    return Table(g, theory=theory)
 
 
 def _composites(K):

@@ -8,7 +8,9 @@ One eliminator (:func:`._kernels.eliminate`) reads the stored rows: ranks
 and kernels come from one fraction-free reduced echelon form, so results are
 exact and nothing overflows.  It also reports the input row behind each
 pivot, which ``rank(a, profile=True)`` returns as the rank profile; the
-spectral pages read their persistence pairing from it.
+spectral pages read their persistence pairing from it.  The package's
+reports, parameters and tables are each a :class:`Record`, immutable in the
+same way.
 """
 
 from fractions import Fraction
@@ -134,6 +136,49 @@ class Grid(_Immutable):
         if not isinstance(other, Grid):
             return NotImplemented
         return self._cells == other._cells
+
+
+class Record(_Immutable):
+    """An immutable record whose ``__slots__`` name its fields in order.
+
+    The constructor takes the fields by position or by name, and a missing
+    or unknown field is a ``TypeError``.  Two records are equal when they
+    are of one type with equal fields, and the hash is that of the fields,
+    so a record holding a :class:`Grid` is unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = type(self).__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} "
+                            f"fields, got {len(args)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__name__} is missing {name!r}")
+            _set(self, name, kwargs.pop(name))
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got an unexpected or "
+                            f"repeated field {next(iter(kwargs))!r}")
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join([f"{n}={getattr(self, n)!r}"
+                            for n in self.__slots__])
+        return f"{type(self).__name__}({fields})"
 
 
 def from_rows(rows, cols, entries):

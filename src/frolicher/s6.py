@@ -18,29 +18,23 @@ reproduce the closed-form predictions entry for entry.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product, starmap
 
-from .cohomology import (BettiVector, CohomologyTable, aeppli,
-                         arithmetic_genus, bott_chern, de_rham)
-from .linalg import Grid
-from .spectral import PageTable, pages_filtration, stable_page_index
+from .cohomology import (BettiVector, Table, aeppli, arithmetic_genus,
+                         bott_chern, de_rham)
+from .linalg import Grid, Record
+from .spectral import pages_filtration, stable_page_index
 from .zigzag import canonicalize_shape, mirror_shape, synthesize
 
 GRID = (3, 3)
 
 
-@dataclass(frozen=True)
-class DiamondParams:
-    h10: int
-    h02: int
-    h11: int
-    alpha: int
-    beta: int
+class DiamondParams(Record):
+    __slots__ = ("h10", "h02", "h11", "alpha", "beta")
 
-    def __post_init__(self):
-        for name in ("h10", "h02", "h11", "alpha", "beta"):
-            v = getattr(self, name)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name, v in zip(self.__slots__, self.as_tuple()):
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
 
@@ -73,22 +67,16 @@ class DiamondParams:
                 f"alpha={self.alpha} beta={self.beta}")
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
-    cid: str
-    relation: str
-    holds: bool
-    witness: str
+class ConstraintCheck(Record):
+    __slots__ = ("cid", "relation", "holds", "witness")
 
     def __str__(self):
         word = "holds" if self.holds else "violated"
         return f"[{word:8s}] {self.cid}: {self.relation} ({self.witness})"
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    params: DiamondParams
-    checks: tuple
+class ConstraintReport(Record):
+    __slots__ = ("params", "checks")
 
     @property
     def all_hold(self):
@@ -223,14 +211,10 @@ def realize_model(d):
     return synthesize(model_multiset(d), GRID)
 
 
-@dataclass(frozen=True)
-class PredictedTables:
-    e1: PageTable
-    e2: PageTable
-    e3plus: PageTable
-    bott_chern: CohomologyTable
-    aeppli: CohomologyTable
-    betti: BettiVector
+class PredictedTables(Record):
+    """The closed-form tables: pages E1, E2 and E_r for r >= 3, and the
+    Bott-Chern, Aeppli and de Rham tables."""
+    __slots__ = ("e1", "e2", "e3plus", "bott_chern", "aeppli", "betti")
 
 
 def predicted_tables(d):
@@ -269,23 +253,18 @@ def predicted_tables(d):
         (3, 3): 1})
     ae = grid({(p, q): bc[3 - q, 3 - p] for p in range(4) for q in range(4)})
     return PredictedTables(
-        e1=PageTable(1, e1),
-        e2=PageTable(2, e2),
-        e3plus=PageTable(3, e3),
-        bott_chern=CohomologyTable("bott_chern", bc),
-        aeppli=CohomologyTable("aeppli", ae),
+        e1=Table(e1, r=1),
+        e2=Table(e2, r=2),
+        e3plus=Table(e3, r=3),
+        bott_chern=Table(bc, theory="bott_chern"),
+        aeppli=Table(ae, theory="aeppli"),
         betti=BettiVector((1, 0, 0, 0, 0, 0, 1)),
     )
 
 
-@dataclass(frozen=True)
-class ModelTables:
+class ModelTables(Record):
     """Engine-computed tables of a realized model."""
-    pages: tuple
-    bott_chern: CohomologyTable
-    aeppli: CohomologyTable
-    betti: BettiVector
-    genus: int
+    __slots__ = ("pages", "bott_chern", "aeppli", "betti", "genus")
 
 
 def compute_model_tables(K):
@@ -339,13 +318,14 @@ def model_mismatches(d, got):
 def infer_params(e1, e2):
     """Read the five parameters off computed E1/E2 tables and verify.
 
-    ``e1`` and ``e2`` may be :class:`PageTable` or 4x4 integer grids.  Every
-    entry of both tables is checked against the predictions of the extracted
-    tuple; the first inconsistent spot (tables scanned E1 then E2, spots in
-    lexicographic (p, q) order) raises :class:`InferenceMismatchError`.
+    ``e1`` and ``e2`` may be page tables (:class:`.Table`) or 4x4 integer
+    grids.  Every entry of both tables is checked against the predictions of
+    the extracted tuple; the first inconsistent spot (tables scanned E1 then
+    E2, spots in lexicographic (p, q) order) raises
+    :class:`InferenceMismatchError`.
     """
-    g1 = Grid(e1.grid if isinstance(e1, PageTable) else e1)
-    g2 = Grid(e2.grid if isinstance(e2, PageTable) else e2)
+    g1 = Grid(e1.grid if isinstance(e1, Table) else e1)
+    g2 = Grid(e2.grid if isinstance(e2, Table) else e2)
     if g1.shape != (4, 4) or g2.shape != (4, 4):
         raise InferenceMismatchError(
             f"tables must be 4x4 grids, got {g1.shape} and {g2.shape}")

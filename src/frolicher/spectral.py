@@ -50,30 +50,10 @@ later differentials have zero source or target, so it stands in for the
 limit page.
 """
 
-from dataclasses import dataclass
-
 from . import linalg
 from .bicomplex import (basis_spots, block, require_valid,
                         total_differential)
-
-
-@dataclass(frozen=True)
-class PageTable:
-    """Dimensions of one page, a frozen grid indexed as ``grid[p, q]``."""
-    r: int
-    grid: linalg.Grid
-
-    def __post_init__(self):
-        if not isinstance(self.grid, linalg.Grid):
-            object.__setattr__(self, "grid", linalg.Grid(self.grid))
-
-    def entry(self, p, q):
-        return self.grid[p, q]
-
-    __hash__ = None
-
-    def same_entries(self, other):
-        return self.grid == other.grid
+from .cohomology import Table
 
 
 def stable_page_index(K):
@@ -125,7 +105,7 @@ def pages_filtration(K, r_max):
     for r in range(1, r_max + 1):
         for p, q in dying[r - 1]:
             grid[p][q] -= 1
-        tables.append(PageTable(r, grid))
+        tables.append(Table(grid, r=r))
     return tables
 
 
@@ -191,8 +171,8 @@ def pages_explicit(K, r_max):
                             or _entry(prev, p - r + 1, q + r - 2)):
                 g[p][q] = _explicit_entry(K, p, q, r)
         prev = linalg.Grid(g)
-        tables.append(PageTable(r, prev))
-    return tables + [PageTable(r, prev) for r in range(last + 1, r_max + 1)]
+        tables.append(Table(prev, r=r))
+    return tables + [Table(prev, r=r) for r in range(last + 1, r_max + 1)]
 
 
 def degeneration_page(K):

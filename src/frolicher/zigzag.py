@@ -14,7 +14,7 @@ Squares (2x2 blocks of isomorphisms) are deliberately not part of the
 language: they contribute nothing to any cohomology table.
 """
 
-from dataclasses import dataclass
+from functools import total_ordering
 
 from . import linalg
 from .bicomplex import _from_arrows
@@ -30,9 +30,15 @@ class GridError(ValueError):
     """A shape or dot does not fit inside the requested grid."""
 
 
-@dataclass(frozen=True, order=True)
-class ZigzagShape:
-    dots: tuple
+@total_ordering
+class ZigzagShape(linalg.Record):
+    """A canonical dot tuple; shapes order and hash by their dots."""
+    __slots__ = ("dots",)
+
+    def __lt__(self, other):
+        if type(other) is not ZigzagShape:
+            return NotImplemented
+        return self.dots < other.dots
 
     def __len__(self):
         return len(self.dots)
@@ -136,16 +142,10 @@ def mirror_shape(shape, kind, grid):
     return canonicalize_shape(dots)
 
 
-@dataclass(frozen=True)
-class ContributionProfile:
+class ContributionProfile(linalg.Record):
     """Exact contribution of one shape to every table the engine computes."""
-    shape: ZigzagShape
-    pages: tuple
-    dolbeault: object
-    row: object
-    de_rham: object
-    bott_chern: object
-    aeppli: object
+    __slots__ = ("shape", "pages", "dolbeault", "row", "de_rham",
+                 "bott_chern", "aeppli")
 
 
 def contribution_profile(shape, grid):

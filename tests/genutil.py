@@ -14,6 +14,7 @@ are preserved exactly.
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 from frolicher import linalg
 from frolicher.linalg import Grid
@@ -55,6 +56,26 @@ def total(grid):
 def reflected(grid):
     """``grid`` turned through (p, q) -> (p_max - p, q_max - q)."""
     return Grid([row[::-1] for row in grid][::-1])
+
+
+def spots(K):
+    """Every bidegree of ``K``'s grid, in lexicographic order."""
+    return [(p, q) for p in range(K.p_max + 1) for q in range(K.q_max + 1)]
+
+
+def dh(K, p, q):
+    """The horizontal differential out of ``(p, q)``, zero if not stored."""
+    return _map_or_zero(K, (p, q), (p + 1, q))
+
+
+def dv(K, p, q):
+    """The vertical differential out of ``(p, q)``, zero if not stored."""
+    return _map_or_zero(K, (p, q), (p, q + 1))
+
+
+def _map_or_zero(K, s, t):
+    m = K.arrow(s, t)
+    return linalg.zeros(K.dim(*t), K.dim(*s)) if m is None else m
 
 
 def transposed(grid):
@@ -113,7 +134,7 @@ def ref_validate(K):
         if total.any():
             out.append(Violation(*paths[0][0], axiom, detail))
 
-    for p, q in K.spots():
+    for p, q in spots(K):
         right, up, diag = (p + 1, q), (p, q + 1), (p + 1, q + 1)
         check("dd_horiz", "horizontal differential squared is nonzero",
               ((p, q), right, (p + 2, q)))
@@ -127,20 +148,20 @@ def ref_validate(K):
 def ref_tables(K):
     """Reference cohomology: each theory's formula, spot by spot.
 
-    Every map is the zero-filled ``K.dh`` / ``K.dv``, ranked by
+    Every map is the zero-filled :func:`dh` / :func:`dv`, ranked by
     :func:`ref_rank`, so nothing here runs the package's eliminator.
     Returns the four grids by theory name and the arithmetic genus.
     """
-    dh, dv, r = K.dh, K.dv, ref_rank
+    h, v, r = partial(dh, K), partial(dv, K), ref_rank
     formulas = {
-        "dolbeault": lambda p, q: r(dv(p, q)) + r(dv(p, q - 1)),
-        "row": lambda p, q: r(dh(p, q)) + r(dh(p - 1, q)),
+        "dolbeault": lambda p, q: r(v(p, q)) + r(v(p, q - 1)),
+        "row": lambda p, q: r(h(p, q)) + r(h(p - 1, q)),
         "bott_chern": lambda p, q: (
-            r(linalg.vstack([dh(p, q), dv(p, q)]))
-            + r(linalg.mat_mul(dh(p - 1, q), dv(p - 1, q - 1)))),
+            r(linalg.vstack([h(p, q), v(p, q)]))
+            + r(linalg.mat_mul(h(p - 1, q), v(p - 1, q - 1)))),
         "aeppli": lambda p, q: (
-            r(linalg.mat_mul(dh(p, q + 1), dv(p, q)))
-            + r(linalg.hstack([dh(p - 1, q), dv(p, q - 1)]))),
+            r(linalg.mat_mul(h(p, q + 1), v(p, q)))
+            + r(linalg.hstack([h(p - 1, q), v(p, q - 1)]))),
     }
     out = {theory: Grid([[K.dim(p, q) - ranks(p, q)
                           for q in range(K.q_max + 1)]
@@ -283,7 +304,7 @@ def _random_unimodular(rng, n, ops=None):
 def change_basis(rng, K, rational=False):
     """Conjugate every spot by a random unimodular (optionally rational) map."""
     basis = {}
-    for p, q in K.spots():
+    for p, q in spots(K):
         n = K.dim(p, q)
         P, Pinv = _random_unimodular(rng, n)
         if rational and n and rng.random() < 0.6:
@@ -295,18 +316,18 @@ def change_basis(rng, K, rational=False):
                                     [[Fraction(Pinv[i, j]) / scale[j]
                                       for j in range(n)] for i in range(n)])
         basis[(p, q)] = (P, Pinv)
-    dh = {}
-    dv = {}
-    for p, q in K.spots():
+    horiz = {}
+    vert = {}
+    for p, q in spots(K):
         if p < K.p_max:
-            dh[(p, q)] = linalg.mat_mul(
-                linalg.mat_mul(basis[(p + 1, q)][0], K.dh(p, q)),
+            horiz[(p, q)] = linalg.mat_mul(
+                linalg.mat_mul(basis[(p + 1, q)][0], dh(K, p, q)),
                 basis[(p, q)][1])
         if q < K.q_max:
-            dv[(p, q)] = linalg.mat_mul(
-                linalg.mat_mul(basis[(p, q + 1)][0], K.dv(p, q)),
+            vert[(p, q)] = linalg.mat_mul(
+                linalg.mat_mul(basis[(p, q + 1)][0], dv(K, p, q)),
                 basis[(p, q)][1])
-    return DoubleComplex(K.p_max, K.q_max, K.dims, dh, dv)
+    return DoubleComplex(K.p_max, K.q_max, K.dims, horiz, vert)
 
 
 def random_complex(rng, p_max=3, q_max=3, max_shapes=4, max_mult=2,

@@ -20,7 +20,7 @@ from frolicher.serialize import complex_to_json, json_to_complex
 from frolicher.spectral import (degeneration_page, euler_char_of_page,
                                 pages_explicit, pages_filtration)
 from frolicher.zigzag import enumerate_shapes, realize_shape
-from genutil import random_complex_suite, shrinks, square_complex
+from genutil import random_complex_suite, shrinks, spots, square_complex
 
 RANDOM_COUNT = 200
 PARAM_BOUND = 3
@@ -98,7 +98,7 @@ def test_criterion_1_oracle_equivalence(random_suite, shape_suite):
     for rec in randoms + shapes:
         assert max(map(max, rec.K.dims)) <= 4
         for a, b in zip(rec.pages_filt, rec.pages_expl):
-            assert a.same_entries(b), \
+            assert a.grid == b.grid, \
                 f"methods disagree on page {a.r} of {rec.K}"
     report(1, "oracle equivalence",
            f"{len(randoms)} random complexes and {len(shapes)} shapes of "
@@ -152,13 +152,13 @@ def test_criterion_4_named_scenarios():
     from frolicher.s6 import DiamondParams
     etesi = realize_model(DiamondParams(0, 0, 1, 0, 0))
     assert degeneration_page(etesi) == 2
-    assert bott_chern(etesi).entry(1, 1) == 2
+    assert bott_chern(etesi).grid[1, 1] == 2
     K = realize_model(DiamondParams(1, 0, 0, 1, 0))
     pages = pages_filtration(K, 5)
-    assert not pages[0].same_entries(pages[1])
-    assert not pages[1].same_entries(pages[2])
-    assert pages[2].same_entries(pages[3])
-    assert pages[3].same_entries(pages[4])
+    assert pages[0].grid != pages[1].grid
+    assert pages[1].grid != pages[2].grid
+    assert pages[2].grid == pages[3].grid
+    assert pages[3].grid == pages[4].grid
     assert degeneration_page(K) == 3
     report(4, "named scenarios",
            "first tuple degenerates at page 2 with 2-dimensional (1,1) "
@@ -166,14 +166,14 @@ def test_criterion_4_named_scenarios():
 
 
 def _check_invariants(K, pages, betti):
-    chi_dim = sum((-1) ** (p + q) * K.dim(p, q) for p, q in K.spots())
+    chi_dim = sum((-1) ** (p + q) * K.dim(p, q) for p, q in spots(K))
     for earlier, later in zip(pages, pages[1:]):
         assert shrinks(later.grid, earlier.grid)
     for t in pages:
         assert euler_char_of_page(t) == chi_dim
     last = pages[-1]
     for k in range(len(betti.b)):
-        total = sum(last.entry(p, k - p)
+        total = sum(last.grid[p, k - p]
                     for p in range(max(0, k - K.q_max), min(K.p_max, k) + 1))
         assert total == betti[k]
 
@@ -206,7 +206,7 @@ def test_criterion_5_invariant_suite(random_suite, model_suite):
         pages = (rec.pages_filt if isinstance(rec, ComplexRecord)
                  else rec.tables.pages)
         for a, b in zip(pages, pages_filtration(Ksq, pages[-1].r)):
-            assert a.same_entries(b)
+            assert a.grid == b.grid
         assert _all_tables(K) == _all_tables(Ksq)
         squares += 1
     report(5, "invariant suite",

@@ -3,13 +3,15 @@ import random
 import pytest
 
 from frolicher import linalg
-from frolicher.bicomplex import (DoubleComplex, InvalidComplexError, conjugate,
-                                 direct_sum, dual, empty_complex, require_valid,
+from frolicher.bicomplex import (DoubleComplex, InvalidComplexError,
+                                 Violation, conjugate, direct_sum, dual,
+                                 empty_complex, require_valid,
                                  total_differential, validate)
-from frolicher.cohomology import dolbeault, row_cohomology
+from frolicher.cohomology import de_rham, dolbeault, row_cohomology
+from frolicher.s6 import DiamondParams, check_constraints
 from frolicher.spectral import pages_filtration, stable_page_index
 from frolicher.zigzag import canonicalize_shape, realize_shape
-from genutil import random_complex, ref_validate, square_complex
+from genutil import dh, dv, random_complex, ref_validate, square_complex
 
 
 def dot(p, q, grid=(3, 3)):
@@ -141,7 +143,7 @@ def test_maps_are_frozen_copies():
     assert K.dim(1, 0) == 1
     assert validate(K) == []
     with pytest.raises(TypeError):
-        K.dh(0, 0)[0, 0] = 0
+        dh(K, 0, 0)[0, 0] = 0
 
 
 def test_values_cannot_be_reopened_for_writing():
@@ -155,8 +157,14 @@ def test_values_cannot_be_reopened_for_writing():
         m[0, 0] = 99
     with pytest.raises(TypeError):
         m.rows[0][0] = 99
+    d = DiamondParams(0, 0, 1, 0, 0)
+    records = ((tables[0], "grid"), (tables[1], "r"), (de_rham(K), "b"),
+               (d, "h10"), (canonicalize_shape([(0, 0)]), "dots"),
+               (Violation(0, 0, "shape", "x"), "axiom"),
+               (check_constraints(d), "checks"))
     for value, name in ((m, "shape"), (m, "rows"), (m, "flags"),
-                        (K.dims, "shape"), (K.dims, "_cells"), (K, "dims")):
+                        (K.dims, "shape"), (K.dims, "_cells"), (K, "dims"),
+                        *records):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
@@ -182,7 +190,7 @@ def test_direct_sum_c_zigzags_block_identity():
     C = realize_shape(canonicalize_shape([(0, 1), (1, 1)]), (3, 3))
     S = direct_sum(C, C)
     assert S.dim(0, 1) == S.dim(1, 1) == 2
-    assert S.dh(0, 1) == linalg.identity(2)
+    assert dh(S, 0, 1) == linalg.identity(2)
 
 
 def test_direct_sum_rejects_invalid():
@@ -202,7 +210,7 @@ def test_dual_of_c_zigzag():
     C = realize_shape(canonicalize_shape([(0, 1), (1, 1)]), (3, 3))
     D = dual(C)
     assert D.dim(2, 2) == D.dim(3, 2) == 1
-    assert D.dh(2, 2) == linalg.identity(1)
+    assert dh(D, 2, 2) == linalg.identity(1)
     assert validate(D) == []
 
 
@@ -218,7 +226,7 @@ def test_conjugate_examples():
     C = realize_shape(canonicalize_shape([(0, 1), (1, 1)]), (3, 3))
     J = conjugate(C)
     assert J.dim(1, 0) == J.dim(1, 1) == 1
-    assert J.dv(1, 0) == linalg.identity(1)
+    assert dv(J, 1, 0) == linalg.identity(1)
     rng = random.Random(43)
     for _ in range(10):
         K = random_complex(rng, 3, 3)
@@ -287,7 +295,7 @@ def test_direct_sum_commutes_and_associates_on_tables():
         assert dolbeault(left) == dolbeault(right)
         r = stable_page_index(left)
         for x, y in zip(pages_filtration(left, r), pages_filtration(right, r)):
-            assert x.same_entries(y)
+            assert x.grid == y.grid
         assoc_l = direct_sum(direct_sum(A, B), C)
         assoc_r = direct_sum(A, direct_sum(B, C))
         assert assoc_l.dims == assoc_r.dims
@@ -306,5 +314,5 @@ def test_pages_of_dual_reflect():
         for t_orig, t_dual in zip(orig, refl):
             for p in range(K.p_max + 1):
                 for q in range(K.q_max + 1):
-                    assert t_dual.entry(p, q) == t_orig.entry(
-                        K.p_max - p, K.q_max - q)
+                    assert t_dual.grid[p, q] == t_orig.grid[
+                        K.p_max - p, K.q_max - q]

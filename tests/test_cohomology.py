@@ -7,7 +7,7 @@ from frolicher.cohomology import (aeppli, arithmetic_genus, bott_chern,
                                   de_rham, dolbeault, row_cohomology)
 from frolicher.s6 import DiamondParams, realize_model
 from frolicher.zigzag import canonicalize_shape, realize_shape
-from genutil import random_complex, total
+from genutil import random_complex, spots, total
 
 from frolicher import linalg
 
@@ -18,7 +18,7 @@ def shape_complex(dots, grid=(3, 3)):
 
 def test_dolbeault_dot():
     t = dolbeault(shape_complex([(0, 0)]))
-    assert t.entry(0, 0) == 1
+    assert t.grid[0, 0] == 1
     assert total(t.grid) == 1
 
 
@@ -28,7 +28,7 @@ def test_dolbeault_vertical_arrow_vanishes():
 
 
 def test_row_dot_and_arrow():
-    assert row_cohomology(shape_complex([(0, 0)])).entry(0, 0) == 1
+    assert row_cohomology(shape_complex([(0, 0)])).grid[0, 0] == 1
     assert total(row_cohomology(shape_complex([(0, 1), (1, 1)])).grid) == 0
 
 
@@ -77,18 +77,18 @@ def test_de_rham_odd_zigzags_contribute_once():
 
 
 def test_bott_chern_dot():
-    assert bott_chern(shape_complex([(0, 0)])).entry(0, 0) == 1
+    assert bott_chern(shape_complex([(0, 0)])).grid[0, 0] == 1
 
 
 def test_bott_chern_c_zigzag():
     t = bott_chern(shape_complex([(0, 1), (1, 1)]))
-    assert t.entry(1, 1) == 1
+    assert t.grid[1, 1] == 1
     assert total(t.grid) == 1
 
 
 def test_aeppli_top_dot():
     t = aeppli(shape_complex([(3, 3)]))
-    assert t.entry(3, 3) == 1
+    assert t.grid[3, 3] == 1
     assert total(t.grid) == 1
 
 
@@ -120,7 +120,7 @@ def test_arithmetic_genus_examples():
     etesi = realize_model(DiamondParams(0, 0, 1, 0, 0))
     assert arithmetic_genus(etesi) == 0
     col = dolbeault(etesi)
-    assert [col.entry(0, q) for q in range(4)] == [1, 1, 0, 0]
+    assert [col.grid[0, q] for q in range(4)] == [1, 1, 0, 0]
 
 
 def test_arithmetic_genus_ranks_only_column_zero(monkeypatch):
@@ -130,7 +130,7 @@ def test_arithmetic_genus_ranks_only_column_zero(monkeypatch):
     for i in range(12):
         K = random_complex(rng, 1 + i % 3, 1 + i % 4, rational=(i % 3 == 0))
         col = dolbeault(K)
-        cases.append((K, sum((-1) ** q * col.entry(0, q)
+        cases.append((K, sum((-1) ** q * col.grid[0, q]
                              for q in range(K.q_max + 1))))
     ranked = []
     rank = linalg.rank
@@ -178,8 +178,8 @@ def test_euler_characteristic_identity():
         b = de_rham(K)
         chi_b = sum((-1) ** k * b[k] for k in range(len(b)))
         t = dolbeault(K)
-        chi_h = sum((-1) ** (p + q) * t.entry(p, q) for p, q in K.spots())
-        chi_dim = sum((-1) ** (p + q) * K.dim(p, q) for p, q in K.spots())
+        chi_h = sum((-1) ** (p + q) * t.grid[p, q] for p, q in spots(K))
+        chi_dim = sum((-1) ** (p + q) * K.dim(p, q) for p, q in spots(K))
         assert chi_b == chi_h == chi_dim
 
 
@@ -189,8 +189,8 @@ def test_tables_bounded_by_dims():
         K = random_complex(rng, 3, 2)
         for table in (dolbeault(K), row_cohomology(K), bott_chern(K),
                       aeppli(K)):
-            for p, q in K.spots():
-                assert 0 <= table.entry(p, q) <= K.dim(p, q)
+            for p, q in spots(K):
+                assert 0 <= table.grid[p, q] <= K.dim(p, q)
 
 
 def test_theories_never_touch_absent_maps(monkeypatch):

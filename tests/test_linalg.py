@@ -165,3 +165,19 @@ def test_constructors_read_numpy_arrays_by_their_rows():
     assert all(type(x) is int for row in m.rows for x in row.values())
     assert linalg.Grid(a) == linalg.Grid(a.tolist())
     assert linalg.as_matrix(np.zeros((3, 0), dtype=int)).shape == (3, 0)
+
+
+class Pair(linalg.Record):
+    __slots__ = ("a", "b")
+
+
+def test_records_set_their_fields_in_slot_order():
+    assert Pair(1, 2) == Pair(1, b=2) == Pair(b=2, a=1)
+    assert Pair(1, 2).b == 2 and repr(Pair(1, 2)) == "Pair(a=1, b=2)"
+    assert Pair(1, 2) != Pair(2, 1) and hash(Pair(1, 2)) == hash((1, 2))
+    for args, kwargs in (((1,), {}), ((1, 2, 3), {}), ((1, 2), {"c": 3}),
+                         ((1, 2), {"a": 3}), ((), {"a": 1})):
+        with pytest.raises(TypeError):
+            Pair(*args, **kwargs)
+    with pytest.raises(TypeError):
+        hash(Pair(linalg.Grid([[1]]), 2))

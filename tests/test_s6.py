@@ -1,18 +1,18 @@
 import random
-from dataclasses import replace
 
 import pytest
 
 from frolicher.bicomplex import dual, validate
-from frolicher.cohomology import BettiVector, dolbeault
+from frolicher.cohomology import BettiVector, Table, dolbeault
 from frolicher.s6 import (DiamondParams, InadmissibleParamsError,
-                          InferenceMismatchError, check_constraints,
-                          compute_model_tables, enumerate_diamonds,
-                          family_counts, infer_params, model_mismatches,
-                          model_multiset, predicted_tables, realize_model,
-                          verify_model)
-from frolicher.spectral import PageTable, degeneration_page, pages_filtration
+                          InferenceMismatchError, ModelTables,
+                          check_constraints, compute_model_tables,
+                          enumerate_diamonds, family_counts, infer_params,
+                          model_mismatches, model_multiset, predicted_tables,
+                          realize_model, verify_model)
+from frolicher.spectral import degeneration_page, pages_filtration
 from frolicher.zigzag import canonicalize_shape
+from genutil import spots
 
 ETESI = DiamondParams(0, 0, 1, 0, 0)
 
@@ -137,7 +137,7 @@ def test_realized_model_dims_self_dual():
 def test_etesi_dolbeault_matches_expected_spots():
     K = realize_model(ETESI)
     t = dolbeault(K)
-    nonzero = {(p, q): t.entry(p, q) for p, q in K.spots() if t.entry(p, q)}
+    nonzero = {(p, q): t.grid[p, q] for p, q in spots(K) if t.grid[p, q]}
     assert nonzero == {(0, 0): 1, (0, 1): 1, (1, 1): 1, (2, 2): 1,
                        (3, 2): 1, (3, 3): 1}
 
@@ -153,20 +153,20 @@ def test_predicted_e1_serre_symmetric():
 def test_predicted_etesi_values():
     pred = predicted_tables(ETESI)
     assert sum(map(sum, pred.e2.grid)) == 2  # corners only
-    assert pred.e2.entry(0, 0) == pred.e2.entry(3, 3) == 1
-    assert pred.bott_chern.entry(1, 1) == 2
-    assert pred.bott_chern.entry(3, 2) == 1
-    assert pred.bott_chern.entry(2, 1) == 0
-    assert pred.bott_chern.entry(2, 2) == 0
+    assert pred.e2.grid[0, 0] == pred.e2.grid[3, 3] == 1
+    assert pred.bott_chern.grid[1, 1] == 2
+    assert pred.bott_chern.grid[3, 2] == 1
+    assert pred.bott_chern.grid[2, 1] == 0
+    assert pred.bott_chern.grid[2, 2] == 0
     assert pred.betti.b == (1, 0, 0, 0, 0, 0, 1)
 
 
 def test_h11_zero_family_tables():
     for d in enumerate_diamonds(2, h11_zero_only=True):
         pred = predicted_tables(d)
-        assert pred.e1.entry(1, 1) == 0
-        assert pred.e1.entry(1, 2) == d.h02  # h12 = h02 when h11 = 0
-        assert pred.e2.entry(0, 1) == d.h02 + 1  # alpha = h02 + 1
+        assert pred.e1.grid[1, 1] == 0
+        assert pred.e1.grid[1, 2] == d.h02  # h12 = h02 when h11 = 0
+        assert pred.e2.grid[0, 1] == d.h02 + 1  # alpha = h02 + 1
         assert d.h20 == d.h10 + d.h02 + 1
 
 
@@ -187,14 +187,14 @@ def test_named_scenarios():
     K = realize_model(ETESI)
     assert degeneration_page(K) == 2
     from frolicher.cohomology import bott_chern
-    assert bott_chern(K).entry(1, 1) == 2
+    assert bott_chern(K).grid[1, 1] == 2
 
     d = DiamondParams(1, 0, 0, 1, 0)
     K2 = realize_model(d)
     pages = pages_filtration(K2, 5)
-    assert not pages[0].same_entries(pages[1])
-    assert not pages[1].same_entries(pages[2])
-    assert pages[2].same_entries(pages[3])
+    assert pages[0].grid != pages[1].grid
+    assert pages[1].grid != pages[2].grid
+    assert pages[2].grid == pages[3].grid
     assert degeneration_page(K2) == 3
 
 
@@ -217,8 +217,9 @@ def test_model_mismatches_name_table_and_spot():
     assert model_mismatches(ETESI, good) == []
     # E_1 in place of the stable E_4, and a wrong Betti vector and genus.
     e1 = good.pages[0].grid
-    bad = replace(good, pages=(*good.pages[:3], PageTable(4, e1)),
-                  betti=BettiVector((1, 0, 0, 0, 0, 0, 0)), genus=1)
+    bad = ModelTables(pages=(*good.pages[:3], Table(e1, r=4)),
+                      bott_chern=good.bott_chern, aeppli=good.aeppli,
+                      betti=BettiVector((1, 0, 0, 0, 0, 0, 0)), genus=1)
     assert model_mismatches(ETESI, bad) == [
         "E4 at (0,1): expected 0, computed 1",
         "E4 at (1,1): expected 0, computed 1",

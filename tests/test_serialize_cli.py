@@ -497,7 +497,9 @@ def test_cli_s6_enumerate_caps_bound(capsys):
 def test_cli_s6_realize_and_verify_reject_oversized_models(tmp_path,
                                                            capsys):
     out = tmp_path / "model.json"
-    for command, h11 in (("realize", 10 ** 8), ("verify", 600)):
+    # MAX_SIZE is the largest parameter the CLI takes; its model does not
+    # fit in MAX_SIZE dimensions.
+    for command, h11 in (("realize", MAX_SIZE), ("verify", 600)):
         argv = ["s6", command, "--h10", "0", "--h02", "0", "--h11", str(h11),
                 "--alpha", "0", "--beta", "0"]
         if command == "realize":
@@ -586,17 +588,35 @@ def test_console_entry_point(tmp_path):
 
 @pytest.mark.parametrize("command", ["check", "predict", "realize", "verify"])
 def test_cli_s6_rejects_negative_parameters(command, tmp_path, capsys):
+    bounds = (("-1", "must be at least 0"),
+              (str(MAX_SIZE + 1), f"must be at most {MAX_SIZE}"))
     for name in ("h10", "h02", "h11", "alpha", "beta"):
-        params = {"h10": "0", "h02": "0", "h11": "1", "alpha": "0",
-                  "beta": "0", name: "-1"}
-        argv = ["s6", command, *(x for k, v in params.items()
-                                 for x in (f"--{k}", v))]
-        if command == "realize":
-            argv += ["-o", str(tmp_path / "model.json")]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"--{name}: must be at least 0" in capsys.readouterr().err
+        for value, message in bounds:
+            params = {"h10": "0", "h02": "0", "h11": "1", "alpha": "0",
+                      "beta": "0", name: value}
+            argv = ["s6", command, *(x for k, v in params.items()
+                                     for x in (f"--{k}", v))]
+            if command == "realize":
+                argv += ["-o", str(tmp_path / "model.json")]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"--{name}: {message}" in capsys.readouterr().err
+
+
+def test_cli_s6_huge_parameters_end_in_one_short_error(monkeypatch, capsys):
+    # A 4,000-digit parameter once came back whole, in an error of 8 KB or
+    # in a report of 25 KB or more.
+    monkeypatch.setenv("COLUMNS", "80")
+    nines = "9" * 4000
+    for argv in (["check", "--h10", "0", "--h02", nines, "--h11", "0"],
+                 ["verify", "--h10", nines, "--h02", "0", "--h11", "1"],
+                 ["predict", "--h10", nines, "--h02", nines, "--h11", "1"]):
+        code, err = usage_error(
+            capsys, ["s6", *argv, "--alpha", "0", "--beta", "0"])
+        assert code == 2
+        assert len(err.encode()) < 200, err
+        assert f"must be at most {MAX_SIZE}" in err
 
 
 def test_cli_never_imports_numpy(tmp_path):
@@ -613,6 +633,7 @@ def test_cli_never_imports_numpy(tmp_path):
         f"         main({['cohomology', model, '--theory', 'bc']!r})]",
         "assert codes == [0, 0, 0, 0], codes",
         "assert 'numpy' not in sys.modules, 'numpy was imported'",
+        "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'",
     ])
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True)
