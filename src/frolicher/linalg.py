@@ -4,13 +4,14 @@ A :class:`Matrix` is an immutable shape plus one read-only ``{column:
 nonzero}`` mapping per row, of Python ints and ``fractions.Fraction``;
 products, assembly, stacking, transposes and row slices visit stored entries
 only.  A :class:`Grid` is an immutable rectangle of ints: dims and tables.
-One eliminator (:func:`._kernels.eliminate`) reads the stored rows: ranks
-and kernels come from one fraction-free reduced echelon form, so results are
-exact and nothing overflows.  It also reports the input row behind each
-pivot, which ``rank(a, profile=True)`` returns as the rank profile; the
-spectral pages read their persistence pairing from it.  The package's
-reports, parameters and tables are each a :class:`Record`, immutable in the
-same way.
+One fraction-free eliminator (:func:`._kernels.eliminate`) reads the
+stored rows, so results are exact and nothing overflows.  Ranks come from
+its forward reduction alone, whose pivots are those of every echelon form;
+kernels are read off the reduced echelon form, for which it also
+back-substitutes.  It reports the input row behind each pivot, which
+``rank(a, profile=True)`` returns as the rank profile; the spectral pages
+read their persistence pairing from it.  The package's reports, parameters
+and tables are each a :class:`Record`, immutable in the same way.
 """
 
 from fractions import Fraction
@@ -265,27 +266,31 @@ def assemble(row_dims, col_dims, blocks):
 
 
 def rank(a, profile=False):
-    """Exact rank: the number of pivots of the reduced echelon form.
+    """Exact rank: the number of pivots of an echelon form of ``a``.
 
-    With ``profile=True`` it returns the rank profile instead: one
-    ``(row, column)`` pair per pivot, ordered by column, where ``row`` is
-    the first row at which the leading rows of ``a`` gain a pivot in
-    ``column``.  ``rank(a[:i, :j])`` is the number of pairs with
-    ``row < i`` and ``column < j``.
+    The rows are reduced forward only: each is cleared at its leading
+    column until it leads in a new column or is zero, and earlier pivot
+    rows are never revisited.  With ``profile=True`` it returns the rank
+    profile instead: one ``(row, column)`` pair per pivot, ordered by
+    column, where ``row`` is the first row at which the leading rows of
+    ``a`` gain a pivot in ``column``.  ``rank(a[:i, :j])`` is the number of
+    pairs with ``row < i`` and ``column < j``.
     """
-    pivots, _, origins = eliminate(a.rows)
+    pivots, _, origins = eliminate(a.rows, reduced=False)
     if profile:
         return list(zip(origins, pivots))
     return len(pivots)
 
 
 def nullspace(a):
-    """Matrix whose columns span ker(a); exact, deterministic.
+    """Matrix whose columns are a basis of ker(a); exact, deterministic.
 
     One column per free (non-pivot) column ``f`` of the reduced echelon
-    form, ordered by increasing ``f``: the standard free-column kernel
-    vector, scaled to the primitive integer vector with a positive entry at
-    ``f``.
+    form, ordered by increasing ``f``: the kernel vector that is 1 at ``f``
+    and 0 at every other free column, scaled to the primitive integer
+    vector with a positive entry at ``f``.  The basis depends only on the
+    row space of ``a``.  It is read off the reduced rows, so this alone of
+    the functions here has the eliminator back-substitute.
     """
     n = a.shape[1]
     pivots, reduced, _ = eliminate(a.rows)

@@ -289,8 +289,9 @@ def verify_model(d):
 def _diff(tables):
     """``(name, p, q, expected, actual)`` at each spot where the two 4x4
     grids of a ``(name, expected, actual)`` in ``tables`` differ: tables in
-    order, spots in lexicographic ``(p, q)`` order."""
-    return ((name, p, q, e[p, q], a[p, q]) for name, e, a in tables
+    order, spots in lexicographic ``(p, q)`` order.  Equal grids are
+    compared whole, and only unequal ones spot by spot."""
+    return ((name, p, q, e[p, q], a[p, q]) for name, e, a in tables if e != a
             for p in range(4) for q in range(4) if e[p, q] != a[p, q])
 
 

@@ -15,6 +15,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from math import gcd, lcm
 
 from frolicher import linalg
 from frolicher.linalg import Grid
@@ -23,11 +24,13 @@ from frolicher.bicomplex import (DoubleComplex, Violation, direct_sum,
 from frolicher.zigzag import canonicalize_shape, realize_shape, synthesize
 
 
-def ref_rank(mat):
-    """Rank by plain rational Gaussian elimination."""
+def ref_rref(mat):
+    """Pivot columns and reduced row echelon form (rows of ``Fraction``s,
+    1 at each pivot) by plain rational Gauss-Jordan elimination."""
     rows = [[Fraction(x) for x in row] for row in mat.tolist()]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
+    pivots = []
     rank = 0
     for col in range(nc):
         piv = None
@@ -44,8 +47,51 @@ def ref_rank(mat):
             if i != rank and rows[i][col] != 0:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
         rank += 1
-    return rank
+    return pivots, rows[:rank]
+
+
+def ref_rank(mat):
+    """Rank by plain rational Gaussian elimination."""
+    return len(ref_rref(mat)[0])
+
+
+def ref_nullspace(mat):
+    """The kernel basis ``linalg.nullspace`` documents, as a list of
+    columns: for each free column ``f`` in increasing order, the vector that
+    is 1 at ``f``, 0 at the other free columns and -R[i][f] at the i-th
+    pivot column (R the reduced form), scaled to the primitive integer
+    vector that is positive at ``f``."""
+    n = mat.shape[1]
+    pivots, rows = ref_rref(mat)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for c, row in zip(pivots, rows):
+            v[c] = -row[f]
+        scale = lcm(*[x.denominator for x in v])
+        ints = [int(x * scale) for x in v]
+        g = gcd(*ints)
+        basis.append([x // g for x in ints])
+    return basis
+
+
+def ref_profile(mat):
+    """The rank profile from prefix ranks, ordered by column: ``(i, j)`` is a
+    pair when the leading rows of ``mat`` gain a pivot in column ``j`` at row
+    ``i``, that is when r(i+1, j+1) - r(i, j+1) - r(i+1, j) + r(i, j) = 1,
+    with r(i, j) the rank of the leading i x j block."""
+    e = mat.tolist()
+    nr, nc = mat.shape
+    r = [[ref_rank(linalg.from_rows(i, j, [row[:j] for row in e[:i]]))
+          for j in range(nc + 1)] for i in range(nr + 1)]
+    return sorted(((i, j) for i in range(nr) for j in range(nc)
+                   if r[i + 1][j + 1] - r[i][j + 1] - r[i + 1][j] + r[i][j]),
+                  key=lambda pair: pair[1])
 
 
 def total(grid):
@@ -221,6 +267,26 @@ def random_fraction_matrix(rng, rows, cols, denom=4, mag=6):
 def random_int_matrix(rng, rows, cols, mag=4):
     entries = [[rng.randint(-mag, mag) for _ in range(cols)]
                for _ in range(rows)]
+    return linalg.from_rows(rows, cols, entries)
+
+
+def random_staircase(rng, rows, cols):
+    """A sparse 0/±1 matrix shaped like the boundary matrices of the s6
+    models: each row is a run of one to three ±1 entries, and some rows are
+    zero, repeated or negated copies of earlier ones."""
+    entries = []
+    for _ in range(rows):
+        kind = rng.random()
+        if entries and kind < 0.2:
+            entries.append([rng.choice((1, -1)) * x
+                            for x in rng.choice(entries)])
+        elif kind < 0.3 or not cols:
+            entries.append([0] * cols)
+        else:
+            j = rng.randrange(cols)
+            run = range(j, min(cols, j + rng.randint(1, 3)))
+            entries.append([rng.choice((1, -1)) if k in run else 0
+                            for k in range(cols)])
     return linalg.from_rows(rows, cols, entries)
 
 

@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 from frolicher import linalg
-from genutil import random_fraction_matrix, random_int_matrix, ref_rank
+from frolicher import s6
+from frolicher.bicomplex import total_differential
+from genutil import (random_fraction_matrix, random_int_matrix,
+                     random_staircase, ref_nullspace, ref_profile, ref_rank)
 
 
 def test_rank_small_known():
@@ -71,6 +74,54 @@ def test_rank_profile_counts_leading_ranks(seed):
                 inside = sum(1 for row, col in profile if row < i and col < j)
                 assert inside == ref_rank(
                     linalg.from_rows(i, j, [row[:j] for row in e[:i]]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nullspace_is_the_documented_basis(seed):
+    """Exactly the primitive free-column vectors, positive at their column."""
+    rng = random.Random(seed + 300)
+    kinds = ("int", "fraction", "zero row", "no rows", "duplicate row")
+    for kind in kinds * 12:
+        r, c = rng.randint(1, 6), rng.randint(1, 7)
+        if kind == "fraction":
+            e = random_fraction_matrix(rng, r, c).tolist()
+        else:
+            e = random_int_matrix(rng, r, c, mag=3).tolist()
+        if kind == "zero row":
+            e[rng.randrange(r)] = [0] * c
+        elif kind == "no rows":
+            e = []
+        elif kind == "duplicate row":
+            e.insert(rng.randrange(r + 1), list(rng.choice(e)))
+        m = linalg.from_rows(len(e), c, e)
+        expected = ref_nullspace(m)
+        basis = linalg.nullspace(m)
+        assert basis.shape == (c, len(expected))
+        assert [list(col) for col in zip(*basis.tolist())] == expected
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_profile_matches_prefix_ranks(seed):
+    """On rational matrices with dependent rows and on 0/±1 staircases."""
+    rng = random.Random(seed + 400)
+    for _ in range(15):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        e = random_fraction_matrix(rng, r, c).tolist()
+        if r > 2:
+            i, j, k = rng.sample(range(r), 3)
+            f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            e[i] = [x + f * y for x, y in zip(e[j], e[k])]
+        for m in (linalg.from_rows(r, c, e), random_staircase(rng, r, c)):
+            assert linalg.rank(m, profile=True) == ref_profile(m)
+
+
+def test_rank_profile_matches_prefix_ranks_on_s6_boundaries():
+    """The boundary matrices the barcode of an s6 model reads, as fed."""
+    for d in s6.enumerate_diamonds(1):
+        K = s6.realize_model(d)
+        for k in range(K.p_max + K.q_max):
+            m = total_differential(K, k).T[::-1]
+            assert linalg.rank(m, profile=True) == ref_profile(m)
 
 
 def test_big_entries_use_object_path():
