@@ -14,17 +14,21 @@ ker(out), so the count is exact.  The maps are
 
 * Dolbeault: each stored d_v, charged to both of its ends;
 * row: each stored d_h, charged to both of its ends;
-* Bott-Chern: the stored arrows out of a spot, stacked, charged to it, and
-  each nonzero composite d_h d_v, charged to its target;
-* Aeppli: the same composites, charged to their source, and the stored
-  arrows into a spot, side by side, charged to it.
+* Bott-Chern: the stored arrows out of a spot, charged to it: one arrow as
+  stored, two stacked by :func:`.linalg.vstack`, which shares their rows;
+  and each nonzero composite d_h d_v, charged to its target;
+* Aeppli: the same composites, charged to their source, and the map
+  [d_h | d_v] into a spot, charged to it.  That map is the spot's row block
+  of the total differential that validation assembled and kept, a row slice
+  that shares its rows; the columns of the other spots of its degree are
+  zero, so the rank is that of the two arrows side by side.
 
-Each map is ranked once, however many spots it is charged to.
+Each map is ranked once, however many spots it is charged to, and no
+matrix is assembled to be ranked: only the composites are new.
 """
 
 from . import linalg
-from .bicomplex import (block, degree_spots, require_valid,
-                        total_differential)
+from .bicomplex import degree_spots, require_valid, total_differential
 
 THEORIES = ("dolbeault", "row", "bott_chern", "aeppli")
 
@@ -107,9 +111,11 @@ def de_rham(K):
 def bott_chern(K):
     """dim(ker d_h ∩ ker d_v) minus rank of d_h d_v into each spot."""
     require_valid(K)
-    sources = dict.fromkeys(arrow[0] for arrow, _ in K.stored_maps())
-    out = [(block(K, [(p + 1, q), (p, q + 1)], [(p, q)]), [(p, q)])
-           for p, q in sources]
+    outs = {}
+    for (s, _), m in K.stored_maps():
+        outs.setdefault(s, []).append(m)
+    out = [(ms[0] if len(ms) == 1 else linalg.vstack(ms), [s])
+           for s, ms in outs.items()]
     into = [(m, [u]) for m, _, u in _composites(K)]
     return _table("bott_chern", K, out + into)
 
@@ -117,10 +123,17 @@ def bott_chern(K):
 def aeppli(K):
     """dim ker(d_h d_v) minus dim(im d_h + im d_v) at each spot."""
     require_valid(K)
-    targets = dict.fromkeys(arrow[1] for arrow, _ in K.stored_maps())
+    targets = {t for (_, t), _ in K.stored_maps()}
     out = [(m, [s]) for m, s, _ in _composites(K)]
-    into = [(block(K, [(p, q)], [(p - 1, q), (p, q - 1)]), [(p, q)])
-            for p, q in targets]
+    into = []
+    for k in range(1, K.p_max + K.q_max + 1):
+        d = total_differential(K, k - 1)
+        a = 0
+        for t in degree_spots(K, k):
+            b = a + K.dim(*t)
+            if t in targets:
+                into.append((d[a:b], [t]))
+            a = b
     return _table("aeppli", K, out + into)
 
 

@@ -35,6 +35,9 @@ class ZigzagShape(linalg.Record):
     """A canonical dot tuple; shapes order and hash by their dots."""
     __slots__ = ("dots",)
 
+    def __hash__(self):
+        return hash(self.dots)
+
     def __lt__(self, other):
         if type(other) is not ZigzagShape:
             return NotImplemented
@@ -97,25 +100,28 @@ def synthesize(multiset, grid):
     fold of :func:`.bicomplex.direct_sum` over the same sequence.
     """
     p_max, q_max = grid
-    summands = []
-    for shape in sorted(multiset):
-        mult = multiset[shape]
-        if mult < 0:
-            raise ValueError("negative multiplicity")
-        summands.extend([shape] * mult)
-    # Each summand takes the next free coordinate at each of its dots, and
-    # each of its arrows puts a 1 at (target coordinate, source coordinate).
+    if any(mult < 0 for mult in multiset.values()):
+        raise ValueError("negative multiplicity")
+    # The copies of a shape take the next free coordinates at each of its
+    # dots, one consecutive range per dot, so each arrow maps the range at
+    # its source onto the range at its target: a 1 at (target coordinate,
+    # source coordinate) per copy.
     used = {}
     ones = {}
-    for shape in summands:
-        spot_of = {}
+    for shape in sorted(multiset):
+        mult = multiset[shape]
+        if not mult:
+            continue
+        start = {}
         for p, q in shape.dots:
             if p > p_max or q > q_max:
                 raise GridError(f"dot ({p},{q}) outside grid {p_max}x{q_max}")
-            spot_of[p, q] = used.get((p, q), 0)
-            used[p, q] = spot_of[p, q] + 1
+            start[p, q] = used.get((p, q), 0)
+            used[p, q] = start[p, q] + mult
         for src, dst in shape.arrows():
-            ones.setdefault((src, dst), {})[spot_of[dst]] = spot_of[src]
+            col = ones.setdefault((src, dst), {})
+            for i in range(mult):
+                col[start[dst] + i] = start[src] + i
     dims = [[used.get((p, q), 0) for q in range(q_max + 1)]
             for p in range(p_max + 1)]
     return _from_arrows(p_max, q_max, dims, {

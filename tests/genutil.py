@@ -14,7 +14,6 @@ are preserved exactly.
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 
 from frolicher import linalg
@@ -26,8 +25,10 @@ from frolicher.zigzag import canonicalize_shape, realize_shape, synthesize
 
 def ref_rref(mat):
     """Pivot columns and reduced row echelon form (rows of ``Fraction``s,
-    1 at each pivot) by plain rational Gauss-Jordan elimination."""
-    rows = [[Fraction(x) for x in row] for row in mat.tolist()]
+    1 at each pivot) by plain rational Gauss-Jordan elimination.  ``mat``
+    is a matrix or a list of dense rows."""
+    dense = mat if isinstance(mat, list) else mat.tolist()
+    rows = [[Fraction(x) for x in row] for row in dense]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     pivots = []
@@ -55,6 +56,14 @@ def ref_rref(mat):
 def ref_rank(mat):
     """Rank by plain rational Gaussian elimination."""
     return len(ref_rref(mat)[0])
+
+
+def ref_mul(a, b):
+    """The product of two matrices as a list of dense rows, computed from
+    their ``tolist()`` rows, so it runs none of the package's products."""
+    cols = list(zip(*b.tolist()))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
+            for row in a.tolist()]
 
 
 def ref_nullspace(mat):
@@ -149,8 +158,9 @@ def ref_validate(K):
 
     The shape pass, then at each spot in (p, q) order the sum over the
     unit-step paths of each axiom of the composed stored maps, skipped when
-    a path runs through an arrow that failed the shape pass.  It must
-    report exactly what ``bicomplex.validate`` reports, in the same order.
+    a path runs through an arrow that failed the shape pass.  Composites
+    are :func:`ref_mul` products of dense rows.  It must report exactly what
+    ``bicomplex.validate`` reports, in the same order.
     """
     out = []
     bad = set()
@@ -171,13 +181,10 @@ def ref_validate(K):
         arrows = [a for s, t, u in paths for a in ((s, t), (t, u))]
         if not bad.isdisjoint(arrows):
             return
-        stored = [(K.arrow(t, u), K.arrow(s, t)) for s, t, u in paths
-                  if K.arrow(s, t) is not None and K.arrow(t, u) is not None]
-        if not stored:
-            return
-        total = linalg.mat_mul(linalg.hstack([a for a, _ in stored]),
-                               linalg.vstack([b for _, b in stored]))
-        if total.any():
+        products = [ref_mul(K.arrow(t, u), K.arrow(s, t)) for s, t, u in paths
+                    if K.arrow(s, t) is not None and K.arrow(t, u) is not None]
+        flat = [[x for row in m for x in row] for m in products]
+        if any(sum(entries) for entries in zip(*flat)):
             out.append(Violation(*paths[0][0], axiom, detail))
 
     for p, q in spots(K):
@@ -194,20 +201,30 @@ def ref_validate(K):
 def ref_tables(K):
     """Reference cohomology: each theory's formula, spot by spot.
 
-    Every map is the zero-filled :func:`dh` / :func:`dv`, ranked by
-    :func:`ref_rank`, so nothing here runs the package's eliminator.
-    Returns the four grids by theory name and the arithmetic genus.
+    Every map is the zero-filled :func:`dh` / :func:`dv`, read as dense
+    rows; stacks, side-by-side blocks and composites are built from those
+    rows here and ranked by :func:`ref_rank`, so nothing here runs the
+    package's eliminator, stacking or products.  Returns the four grids by
+    theory name and the arithmetic genus.
     """
-    h, v, r = partial(dh, K), partial(dv, K), ref_rank
+    def h(p, q):
+        return dh(K, p, q).tolist()
+
+    def v(p, q):
+        return dv(K, p, q).tolist()
+
+    def composite(p, q):
+        return ref_mul(dh(K, p, q + 1), dv(K, p, q))
+
+    r = ref_rank
     formulas = {
         "dolbeault": lambda p, q: r(v(p, q)) + r(v(p, q - 1)),
         "row": lambda p, q: r(h(p, q)) + r(h(p - 1, q)),
-        "bott_chern": lambda p, q: (
-            r(linalg.vstack([h(p, q), v(p, q)]))
-            + r(linalg.mat_mul(h(p - 1, q), v(p - 1, q - 1)))),
+        "bott_chern": lambda p, q: (r(h(p, q) + v(p, q))
+                                    + r(composite(p - 1, q - 1))),
         "aeppli": lambda p, q: (
-            r(linalg.mat_mul(h(p, q + 1), v(p, q)))
-            + r(linalg.hstack([h(p - 1, q), v(p, q - 1)]))),
+            r(composite(p, q))
+            + r([a + b for a, b in zip(h(p - 1, q), v(p, q - 1))])),
     }
     out = {theory: Grid([[K.dim(p, q) - ranks(p, q)
                           for q in range(K.q_max + 1)]

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from frolicher.bicomplex import InvalidComplexError, DoubleComplex, dual
+from frolicher.bicomplex import (InvalidComplexError, DoubleComplex, dual,
+                                 require_valid)
 from frolicher.cohomology import (aeppli, arithmetic_genus, bott_chern,
                                   de_rham, dolbeault, row_cohomology)
 from frolicher.s6 import DiamondParams, realize_model
 from frolicher.zigzag import canonicalize_shape, realize_shape
-from genutil import random_complex, spots, total
+from genutil import random_complex, ref_mul, ref_tables, spots, total
 
 from frolicher import linalg
 
@@ -169,6 +170,50 @@ def test_dolbeault_and_row_rank_each_stored_arrow_once(monkeypatch):
             stored = [id(m) for (s, t), m in K.stored_maps()
                       if (s[0] == t[0]) == vertical]
             assert sorted(ranked) == sorted(stored)
+
+
+def test_bott_chern_and_aeppli_assemble_nothing(monkeypatch):
+    # Bott-Chern ranks the stored arrows out of each spot, stacked, and
+    # Aeppli a row slice of a validated total differential: the only new
+    # matrices are the composites d_h d_v.
+    from frolicher import bicomplex
+    rng = random.Random(10)
+    cases = [random_complex(rng, 1 + i % 3, 1 + i % 4, rational=(i % 3 == 0))
+             for i in range(12)]
+    cases += [realize_model(DiamondParams(*d))
+              for d in ((0, 0, 1, 0, 0), (1, 2, 2, 3, 2), (3, 3, 3, 3, 3))]
+    expected = []
+    for K in cases:
+        require_valid(K)
+        ref = ref_tables(K)
+        sources = {s for (s, _), _ in K.stored_maps()}
+        targets = {t for (_, t), _ in K.stored_maps()}
+        composites = sum(
+            any(map(any, ref_mul(K.arrow(t, (t[0] + 1, t[1])), m)))
+            for (s, t), m in K.stored_maps()
+            if s[0] == t[0] and K.arrow(t, (t[0] + 1, t[1])) is not None)
+        expected.append((ref["bott_chern"], len(sources) + composites,
+                         ref["aeppli"], len(targets) + composites))
+    ranked = []
+    rank = linalg.rank
+
+    def recorded(a, profile=False):
+        ranked.append(a)
+        return rank(a, profile)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled a matrix to rank it")
+
+    monkeypatch.setattr(linalg, "assemble", refuse)
+    monkeypatch.setattr(bicomplex, "block", refuse)
+    monkeypatch.setattr(linalg, "rank", recorded)
+    for K, (bc, bc_maps, ae, ae_maps) in zip(cases, expected):
+        ranked.clear()
+        assert bott_chern(K).grid == bc
+        assert len(ranked) == bc_maps
+        ranked.clear()
+        assert aeppli(K).grid == ae
+        assert len(ranked) == ae_maps
 
 
 def test_euler_characteristic_identity():

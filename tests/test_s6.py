@@ -12,7 +12,7 @@ from frolicher.s6 import (DiamondParams, InadmissibleParamsError,
                           realize_model, verify_model)
 from frolicher.spectral import degeneration_page, pages_filtration
 from frolicher.zigzag import canonicalize_shape
-from genutil import spots
+from genutil import change_basis, spots
 
 ETESI = DiamondParams(0, 0, 1, 0, 0)
 
@@ -174,6 +174,17 @@ def test_verify_model_samples():
     rng = random.Random(32)
     for d in rng.sample(enumerate_diamonds(2), 12):
         assert verify_model(d) == []
+
+
+def test_model_tables_do_not_depend_on_the_basis():
+    # The model path runs on 0/±1 staircases; the tables are invariants, so
+    # the same diamonds under integer and rational changes of basis at every
+    # spot must still match the closed forms.
+    rng = random.Random(33)
+    for i, d in enumerate(rng.sample(enumerate_diamonds(3), 30)):
+        K = change_basis(rng, realize_model(d), rational=i % 2 == 1)
+        assert K != realize_model(d)
+        assert model_mismatches(d, compute_model_tables(K)) == []
 
 
 def test_degeneration_classification():
