@@ -16,9 +16,10 @@ built for an absent map.
 
 Validation checks d^2 = 0 on the total complex: one total differential D_k
 per degree, assembled from the stored arrows, and one product D_{k+1} D_k
-per degree, whose nonzero blocks name the broken axioms.  A complex keeps
-the matrices it was validated with, and :func:`total_differential` hands
-them to the pages and to de Rham cohomology, so each is assembled once.
+per degree, whose nonzero blocks name the broken axioms.  A complex is
+unchecked or valid: only a validation with an empty report keeps its
+matrices, and :func:`total_differential` hands them to the pages and to de
+Rham cohomology, so each is assembled once.
 
 Values are immutable once built; every operation here is a pure function.
 """
@@ -27,7 +28,7 @@ from types import MappingProxyType
 
 from . import linalg
 
-# Only the constructor, validate and require_valid write a complex's slots.
+# After the constructor, only validate writes a slot: _totals, when valid.
 _set = object.__setattr__
 
 
@@ -64,7 +65,7 @@ class DoubleComplex(linalg._Immutable):
     not stored.
     """
 
-    __slots__ = ("p_max", "q_max", "dims", "_arrows", "_report", "_totals")
+    __slots__ = ("p_max", "q_max", "dims", "_arrows", "_totals")
 
     def __init__(self, p_max, q_max, dims, d_horiz=None, d_vert=None):
         if p_max < 0 or q_max < 0:
@@ -88,7 +89,6 @@ class DoubleComplex(linalg._Immutable):
                         and not m.any()):
                     arrows[s, t] = m
         _set(self, "_arrows", MappingProxyType(dict(sorted(arrows.items()))))
-        _set(self, "_report", None)
         _set(self, "_totals", None)
 
     def dim(self, p, q):
@@ -174,9 +174,9 @@ def validate(K):
     order, then the rest by spot, ``dd_horiz`` before ``dd_vert`` before
     ``anticommute``.
 
-    When no arrow failed the shape pass, the D_k are the total differentials
-    of ``K``; they are kept on ``K`` and :func:`total_differential` returns
-    them instead of assembling again.
+    When the report is empty, the D_k are the total differentials of ``K``;
+    they are kept on ``K`` and :func:`total_differential` returns them.  An
+    invalid ``K`` keeps nothing.
     """
     out = []
     bad = set()
@@ -217,7 +217,7 @@ def validate(K):
         if bad.isdisjoint([a for t in middles for a in ((s, t), (t, u))]):
             blocks.append((s, _RANK[step], Violation(*s, axiom, detail)))
     out += [v for _, _, v in sorted(blocks, key=lambda b: b[:2])]
-    if not bad:
+    if not out:
         _set(K, "_totals", tuple(totals))
     return out
 
@@ -225,13 +225,13 @@ def validate(K):
 def require_valid(K):
     """Raise :class:`InvalidComplexError` unless ``K`` passes validation.
 
-    The report is kept on ``K``, so each complex is validated once, and so
-    are the total differentials that :func:`validate` assembled for it.
+    Writes nothing: a valid ``K`` keeps its totals and is validated once;
+    an invalid one is validated again on each call, on the error path.
     """
-    if K._report is None:
-        _set(K, "_report", validate(K))
-    if K._report:
-        raise InvalidComplexError(K._report)
+    if K._totals is None:
+        report = validate(K)
+        if report:
+            raise InvalidComplexError(report)
 
 
 def direct_sum(K1, K2):
@@ -289,12 +289,13 @@ def total_differential(K, k):
 
     Rows and columns are blocked by :func:`degree_spots` order (increasing
     ``p``), so the column filtration by ``p`` corresponds to suffixes of the
-    coordinate blocks.  Once :func:`validate` has run on ``K`` with every
-    arrow of the right shape, this is the matrix it checked, not a new one.
+    coordinate blocks.  ``K`` is validated first, and this is the matrix
+    that validation checked and kept; ``k`` runs over ``0 .. p_max + q_max``.
     """
-    if K._totals is not None and 0 <= k < len(K._totals):
-        return K._totals[k]
-    return block(K, degree_spots(K, k + 1), degree_spots(K, k))
+    require_valid(K)
+    if not 0 <= k < len(K._totals):
+        raise ValueError(f"degree {k} is outside 0 .. {len(K._totals) - 1}")
+    return K._totals[k]
 
 
 def block(K, rows, cols, arrows=None):

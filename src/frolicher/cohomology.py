@@ -95,17 +95,12 @@ def row_cohomology(K):
 
 
 def de_rham(K):
-    """Betti numbers of the total complex with differential d_h + d_v."""
-    require_valid(K)
-    n = K.p_max + K.q_max
-    maps = [total_differential(K, k) for k in range(n + 1)]
+    """Betti numbers of the total complex with differential d_h + d_v: the
+    size of each degree is read off the kept D_k, and each D_k is ranked."""
+    maps = [total_differential(K, k) for k in range(K.p_max + K.q_max + 1)]
     ranks = [linalg.rank(d) if d.any() else 0 for d in maps]
-    b = []
-    for k in range(n + 1):
-        total = sum(K.dim(p, q) for p, q in degree_spots(K, k))
-        into = ranks[k - 1] if k > 0 else 0
-        b.append(total - ranks[k] - into)
-    return BettiVector(tuple(b))
+    return BettiVector(tuple([d.shape[1] - r - into for d, r, into
+                              in zip(maps, ranks, [0] + ranks)]))
 
 
 def bott_chern(K):

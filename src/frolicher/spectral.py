@@ -47,7 +47,7 @@ of the pairing, not a restatement of it.
 
 The page at index ``min(p_max, q_max) + 2`` is stable: on a bounded grid all
 later differentials have zero source or target, so it stands in for the
-limit page.
+limit page, and both methods return it as every later page.
 """
 
 from . import linalg
@@ -90,23 +90,26 @@ def _bars(K):
 
 
 def pages_filtration(K, r_max):
-    """Page tables r = 1 .. r_max from the barcode of the filtration."""
+    """Page tables r = 1 .. r_max from the barcode of the filtration; no
+    bar changes a page after :func:`stable_page_index`, so they repeat it."""
     require_valid(K)
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
+    last = min(r_max, stable_page_index(K))
     # A bar of length l removes its two ends from every page after E_l.
-    dying = [[] for _ in range(r_max)]
+    dying = [[] for _ in range(last)]
     for birth, death in _bars(K):
         length = birth[0] - death[0]
-        if length < r_max:
+        if length < last:
             dying[length] += [birth, death]
     grid = K.dims.tolist()
     tables = []
-    for r in range(1, r_max + 1):
+    for r in range(1, last + 1):
         for p, q in dying[r - 1]:
             grid[p][q] -= 1
         tables.append(Table(grid, r=r))
-    return tables
+    stable = tables[-1].grid
+    return tables + [Table(stable, r=r) for r in range(last + 1, r_max + 1)]
 
 
 def _entry(grid, p, q):

@@ -4,9 +4,9 @@ import pytest
 
 from frolicher import linalg
 from frolicher.bicomplex import (DoubleComplex, InvalidComplexError,
-                                 Violation, conjugate, direct_sum, dual,
-                                 empty_complex, require_valid,
-                                 total_differential, validate)
+                                 Violation, basis_spots, conjugate,
+                                 direct_sum, dual, empty_complex,
+                                 require_valid, total_differential, validate)
 from frolicher.cohomology import de_rham, dolbeault, row_cohomology
 from frolicher.s6 import DiamondParams, check_constraints
 from frolicher.spectral import pages_filtration, stable_page_index
@@ -111,11 +111,55 @@ def test_validated_total_differentials_are_reused():
     assert kept == fresh
     assert all(a is b for a, b in zip(kept, (total_differential(K, k)
                                              for k in range(6))))
-    # An arrow that fails the shape pass keeps nothing: validation left it
-    # out of the matrices it assembled.
+    # An arrow that fails the shape pass keeps nothing, and an invalid
+    # complex has no total differential.
     bad = DoubleComplex(0, 0, [[1]], d_horiz={(0, 0): [[1]]})
     assert [v.axiom for v in validate(bad)] == ["shape"]
-    assert total_differential(bad, 0) is not total_differential(bad, 0)
+    with pytest.raises(InvalidComplexError):
+        total_differential(bad, 0)
+
+
+def test_an_invalid_complex_keeps_nothing():
+    # Every arrow has the right shape, but d_v squares to a nonzero map.
+    K = DoubleComplex(0, 2, [[1, 1, 1]], d_vert={(0, 0): [[1]], (0, 1): [[1]]})
+    assert [v.axiom for v in validate(K)] == ["dd_vert"]
+    assert K._totals is None
+    for _ in range(2):
+        with pytest.raises(InvalidComplexError, match="dd_vert"):
+            require_valid(K)
+        with pytest.raises(InvalidComplexError, match="dd_vert"):
+            total_differential(K, 0)
+    assert K._totals is None
+
+
+def test_total_differential_degrees_are_bounded():
+    K = random_complex(random.Random(50), 2, 3)
+    n = K.p_max + K.q_max
+    assert total_differential(K, n).shape == (0, len(basis_spots(K, n)))
+    for k in (-1, n + 1):
+        with pytest.raises(ValueError, match=f"degree {k} is outside"):
+            total_differential(K, k)
+
+
+def test_a_valid_complex_is_validated_once(monkeypatch):
+    from frolicher import bicomplex
+    K = random_complex(random.Random(51), 3, 2)
+    calls = []
+    check = bicomplex.validate
+
+    def counted(K):
+        calls.append(K)
+        return check(K)
+
+    monkeypatch.setattr(bicomplex, "validate", counted)
+    first = total_differential(K, 1)
+    assert len(calls) == 1
+    for _ in range(3):
+        require_valid(K)
+        assert total_differential(K, 1) is first
+    de_rham(K)
+    pages_filtration(K, stable_page_index(K))
+    assert calls == [K]
 
 
 def test_constructor_rejects_bad_grids():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -96,6 +97,15 @@ def test_family_counts_etesi():
     counts = family_counts(ETESI)
     assert counts == {"dot": 1, "z4a": 0, "c": 1, "d": 0, "e": 0, "h": 0,
                       "z4b": 0}
+
+
+def test_catalog_holds_iff_every_family_count_is_non_negative():
+    for t in product(range(5), repeat=5):
+        d = DiamondParams(*t)
+        counts_hold = all(v >= 0 for v in family_counts(d).values())
+        assert check_constraints(d).all_hold == counts_hold
+        assert (check_constraints(d, assume_a0=True).all_hold
+                == (counts_hold and d.h10 <= 1))
 
 
 def test_model_multiset_etesi():

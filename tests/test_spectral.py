@@ -190,7 +190,8 @@ def test_skip_rules_are_sound():
 
 def test_explicit_pages_stop_solving_at_the_stable_page(monkeypatch):
     # Every differential past the stable page has a zero source or target,
-    # so later pages are the stable page itself, not rebuilt.
+    # so both methods return the stable page's own grid as every later
+    # page, and rebuild none of them.
     from frolicher import spectral
     solved = []
     solve = spectral._explicit_entry
@@ -210,7 +211,11 @@ def test_explicit_pages_stop_solving_at_the_stable_page(monkeypatch):
         tables = pages_explicit(K, s + 3)
         assert tables == filtration
         assert max(solved, default=0) <= s
-        assert all(t.grid is tables[s - 1].grid for t in tables[s:])
+        assert [t.r for t in tables] == list(range(1, s + 4))
+        for method, pages in ((pages_explicit, tables),
+                              (pages_filtration, filtration)):
+            assert all(t.grid is pages[s - 1].grid for t in pages[s:])
+            assert pages[:s] == method(K, s)
 
 
 def test_explicit_pages_never_solve_a_spot_without_arrows(monkeypatch):
