@@ -6,12 +6,12 @@ products, assembly, stacking, transposes and row slices visit stored entries
 only.  A :class:`Grid` is an immutable rectangle of ints: dims and tables.
 One fraction-free eliminator (:func:`._kernels.eliminate`) reads the
 stored rows, so results are exact and nothing overflows.  Ranks come from
-its forward reduction alone, whose pivots are those of every echelon form;
-kernels are read off the reduced echelon form, for which it also
-back-substitutes.  It reports the input row behind each pivot, which
-``rank(a, profile=True)`` returns as the rank profile; the spectral pages
-read their persistence pairing from it.  The package's reports, parameters
-and tables are each a :class:`Record`, immutable in the same way.
+its forward reduction alone, whose pivots are those of every echelon form,
+and every command reads ranks only; :func:`nullspace`, kept as library API,
+is the one call that back-substitutes.  The input row behind each pivot is
+the rank profile, ``rank(a, profile=True)``, the filtration pages'
+persistence pairing.  Reports, parameters and tables are each a
+:class:`Record`, immutable in the same way.
 """
 
 from fractions import Fraction

@@ -24,26 +24,26 @@ does not matter.
 the spot itself: a class at ``(p, q)`` on page r is a d_v-closed element
 whose horizontal images can be corrected r - 1 times, modulo values of
 staircases arriving from the left.  It builds its small systems from the
-stored arrows only, and it solves one only where the differential
-d_{r-1}: E_{r-1}(p, q) -> E_{r-1}(p + r - 1, q - r + 2) can act.  Page r
-is the cohomology of page r - 1 under d_{r-1} (page 0 is the spots with
-d_0 = d_v), so on the method's own page r - 1:
+stored arrows only and counts their solutions from pivots: four ranks per
+entry by rank-nullity, with no kernel basis, product or back-substitution.
+It solves an entry only where d_{r-1}: E_{r-1}(p, q) -> E_{r-1}(p+r-1,
+q-r+2) can act.  Page r is the cohomology of page r - 1 under d_{r-1}
+(page 0 is the spots with d_0 = d_v), so on the method's own page r - 1:
 
   (i)  if E_{r-1}(p, q) = 0, then E_r(p, q) = 0, a subquotient of it;
   (ii) if E_{r-1} is zero at the target (p + r - 1, q - r + 2) and at the
        source (p - r + 1, q + r - 2), a spot off the grid counting as
-       zero, then d_{r-1} is zero into and out of (p, q) and
-       E_r(p, q) = E_{r-1}(p, q).
+       zero, then d_{r-1} is zero into and out of (p, q): E_r = E_{r-1}.
 
 A spot that no stored arrow enters or leaves is a direct summand of the
 complex, a sum of dots, so it keeps its dimension on every page and is
 never solved either.  All three rules are exact, so skipping the solve
-changes no entry.  The method
-never forms the total complex, so the two methods share only the
-eliminator; they must agree on every valid complex, and the test suite
-enforces this.  ``cohomology.de_rham`` takes its own ranks of the
-total differentials, so the abutment of the stable page to it is a check
-of the pairing, not a restatement of it.
+changes no entry.  The method never forms the total complex and reads no
+rank profile, so the two methods share only the eliminator's pivot counts;
+they must agree on every valid complex, and the test suite enforces this.
+``cohomology.de_rham`` takes its own ranks of the total differentials, so
+the abutment of the stable page to it is a check of the pairing, not a
+restatement of it.
 
 The page at index ``min(p_max, q_max) + 2`` is stable: on a bounded grid all
 later differentials have zero source or target, so it stands in for the
@@ -118,34 +118,34 @@ def _entry(grid, p, q):
     return grid[p, q] if 0 <= p < P and 0 <= q < Q else 0
 
 
+def _rank(m):
+    """``linalg.rank(m)``; 0, with no elimination, when ``m`` has no entry."""
+    return linalg.rank(m) if m.any() else 0
+
+
 def _explicit_entry(K, p, q, r):
-    """E_r(p, q), solved at the spot; a system with no entry is not eliminated."""
-    if K.dim(p, q) == 0:
-        return 0
-    # Representatives: chains (a_0, .., a_{r-1}) at spots (p+i, q-i) with
-    # d_v a_0 = 0 and d_h a_{i-1} + d_v a_i = 0; keep the a_0 block.  The
-    # equations sit at the spots just above the chain's, and every arrow
-    # from a chain spot into one of them is a term of its equation.
+    """E_r(p, q) = dim Z_r - dim B_r, both counted from pivots.
+
+    Z_r is the a_0 of chains (a_0, .., a_{r-1}) at spots (p+i, q-i) with
+    d_v a_0 = 0 and d_h a_{i-1} + d_v a_i = 0, the kernel of the block M
+    into the spots just above the chain's, where the equations sit; those
+    with a_0 = 0 are the kernel of M', M without a_0's columns, so
+    dim Z_r = dim(p, q) - rank M + rank M'.  B_r is Y(ker N): the values
+    d_v b_0 + d_h b_1 of chains (b_0, .., b_{r-1}) at (p, q-1), (p-1, q),
+    .., (p-r+1, q+r-2) that continue to anticommute and close up vertically,
+    so dim B_r = rank [N; Y] - rank N.  On a valid complex B_r lies in Z_r:
+    d_v b_0 + d_h b_1 is the a_0 of the chain (a_0, d_h b_0, 0, ..), so
+    dim(Z_r + B_r) - dim B_r is the difference of the two counts.
+    """
+    n = K.dim(p, q)
     chain = [(p + i, q - i) for i in range(r)]
-    x = _kernel(block(K, [(a, b + 1) for a, b in chain], chain))[:K.dim(p, q)]
-    if not x.any():
-        return 0
-    # Arriving values: d_v b_0 + d_h b_1 over chains (b_0, .., b_{r-1}) at
-    # spots (p, q-1), (p-1, q), .., (p-r+1, q+r-2) that continue to
-    # anticommute and close up vertically at the far end.
+    above = [(a, b + 1) for a, b in chain]
+    cycles = (n - _rank(block(K, above, chain))
+              + _rank(block(K, above, chain[1:])))
     arriving = [(p, q - 1)] + [(p - j, q + j - 1) for j in range(1, r)]
-    y = block(K, [(p, q)], arriving)
-    if r > 1 and y.any():
-        closing = [(a, b + 1) for a, b in arriving[1:]]
-        y = linalg.mat_mul(y, _kernel(block(K, closing, arriving)))
-    if not y.any():
-        return linalg.rank(x)
-    return linalg.rank_of_columns([x, y]) - linalg.rank(y)
-
-
-def _kernel(m):
-    """Columns spanning ker(m); the identity when ``m`` has no entry."""
-    return linalg.nullspace(m) if m.any() else linalg.identity(m.shape[1])
+    closing = [(a, b + 1) for a, b in arriving[1:]]
+    stacked = block(K, closing + [(p, q)], arriving)
+    return cycles - _rank(stacked) + _rank(stacked[:stacked.shape[0] - n])
 
 
 def pages_explicit(K, r_max):

@@ -27,8 +27,7 @@ def ref_rref(mat):
     """Pivot columns and reduced row echelon form (rows of ``Fraction``s,
     1 at each pivot) by plain rational Gauss-Jordan elimination.  ``mat``
     is a matrix or a list of dense rows."""
-    dense = mat if isinstance(mat, list) else mat.tolist()
-    rows = [[Fraction(x) for x in row] for row in dense]
+    rows = [[Fraction(x) for x in row] for row in _dense(mat)]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     pivots = []
@@ -58,12 +57,18 @@ def ref_rank(mat):
     return len(ref_rref(mat)[0])
 
 
+def _dense(mat):
+    """``mat`` as a list of dense rows: a matrix's ``tolist()``, or ``mat``
+    itself when it is a list already."""
+    return mat if isinstance(mat, list) else mat.tolist()
+
+
 def ref_mul(a, b):
-    """The product of two matrices as a list of dense rows, computed from
-    their ``tolist()`` rows, so it runs none of the package's products."""
-    cols = list(zip(*b.tolist()))
+    """The product of two matrices, each a matrix or a list of dense rows,
+    as a list of dense rows, so it runs none of the package's products."""
+    cols = list(zip(*_dense(b)))
     return [[sum(x * y for x, y in zip(row, col)) for col in cols]
-            for row in a.tolist()]
+            for row in _dense(a)]
 
 
 def ref_nullspace(mat):
@@ -101,6 +106,40 @@ def ref_profile(mat):
     return sorted(((i, j) for i in range(nr) for j in range(nc)
                    if r[i + 1][j + 1] - r[i][j + 1] - r[i + 1][j] + r[i][j]),
                   key=lambda pair: pair[1])
+
+
+def ref_explicit_entry(K, p, q, r):
+    """E_r(p, q) by the kernel definition: dim(Z + B) - dim B.
+
+    Z is spanned by the a_0 of a :func:`ref_nullspace` basis of the chains
+    (a_0, .., a_{r-1}) at (p+i, q-i) with d_v a_0 = 0 and d_h a_{i-1} +
+    d_v a_i = 0.  B is spanned by the values d_v b_0 + d_h b_1, formed by
+    :func:`ref_mul`, of a kernel basis of the chains (b_0, .., b_{r-1}) at
+    (p, q-1), (p-1, q), .., (p-r+1, q+r-2) with d_v b_j + d_h b_{j+1} = 0
+    and d_v b_{r-1} = 0.  Every system is laid out here from dense rows of
+    ``K.arrow``, so nothing runs ``bicomplex.block`` or the package's
+    eliminator, and B is not assumed to lie in Z.
+    """
+    def system(rows, cols):
+        # The arrows from the spots ``cols`` into the spots ``rows``; a
+        # pair of spots with no stored arrow between them is a zero block.
+        blocks = [[_map_or_zero(K, s, t).tolist() for s in cols]
+                  for t in rows]
+        dense = [sum([b[i] for b in line], []) for line, t in zip(blocks, rows)
+                 for i in range(K.dim(*t))]
+        return linalg.from_rows(len(dense), sum(K.dim(*s) for s in cols),
+                                dense)
+
+    n = K.dim(p, q)
+    chain = [(p + i, q - i) for i in range(r)]
+    z = [v[:n] for v in
+         ref_nullspace(system([(a, b + 1) for a, b in chain], chain))]
+    arriving = [(p, q - 1)] + [(p - j, q + j - 1) for j in range(1, r)]
+    closing = [(a, b + 1) for a, b in arriving[1:]]
+    y = system([(p, q)], arriving).tolist()
+    b = ref_mul(ref_nullspace(system(closing, arriving)),
+                [list(col) for col in zip(*y)])
+    return ref_rank(z + b) - ref_rank(b)
 
 
 def total(grid):

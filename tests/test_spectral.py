@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from frolicher.bicomplex import DoubleComplex, InvalidComplexError
+from frolicher.bicomplex import (DoubleComplex, InvalidComplexError,
+                                 require_valid)
 from frolicher.cohomology import Table, de_rham, dolbeault
 from frolicher.s6 import DiamondParams, realize_model
 from frolicher.spectral import (_explicit_entry, degeneration_page,
                                 euler_char_of_page, pages_explicit,
                                 pages_filtration, stable_page_index)
 from frolicher.zigzag import canonicalize_shape, enumerate_shapes, realize_shape
-from genutil import change_basis, random_complex, shrinks, spots
+from genutil import (change_basis, random_complex, ref_explicit_entry,
+                     shrinks, spots)
 
 from frolicher import linalg
 
@@ -168,16 +170,27 @@ def rule_filled(K, tables):
         prev = t.grid
 
 
-def test_skip_rules_are_sound():
-    rng = random.Random(16)
+def short_shapes_and_random_complexes(seed):
+    """Every shape of length <= 6 on the 3 x 3 grid, then 24 random
+    complexes, a third of them rational."""
+    rng = random.Random(seed)
     complexes = [realize_shape(s, (3, 3)) for s in enumerate_shapes((3, 3), 6)]
-    complexes += [random_complex(rng, 2 + i % 3, 2 + (i // 3) % 3,
-                                 rational=(i % 3 == 0)) for i in range(24)]
-    complexes += [realize_model(DiamondParams(*d)) for d in
-                  ((0, 0, 1, 0, 0), (1, 0, 0, 1, 0), (0, 1, 1, 1, 1),
-                   (0, 1, 0, 2, 1), (1, 2, 2, 2, 2))]
+    return complexes + [random_complex(rng, 2 + i % 3, 2 + (i // 3) % 3,
+                                       rational=(i % 3 == 0))
+                        for i in range(24)]
+
+
+def skip_rule_complexes():
+    """The inputs of the skip-rule and kernel-definition tests."""
+    return short_shapes_and_random_complexes(16) + [
+        realize_model(DiamondParams(*d)) for d in
+        ((0, 0, 1, 0, 0), (1, 0, 0, 1, 0), (0, 1, 1, 1, 1), (0, 1, 0, 2, 1),
+         (1, 2, 2, 2, 2))]
+
+
+def test_skip_rules_are_sound():
     zero = kept = 0
-    for K in complexes:
+    for K in skip_rule_complexes():
         tables = pages_explicit(K, stable_page_index(K) + 1)
         for p, q, r in rule_filled(K, tables):
             entry = tables[r - 1].grid[p, q]
@@ -186,6 +199,39 @@ def test_skip_rules_are_sound():
             kept += entry > 0
     # Both rules fire, rule (ii) also on nonzero entries.
     assert zero > 1000 and kept > 100
+
+
+def test_explicit_entries_match_the_kernel_definition():
+    # dim Z_r - dim B_r, as counted from pivots, against dim(Z_r + B_r) -
+    # dim B_r from kernel bases, a product and a stack of dense rows: this
+    # also checks that B_r lies in Z_r, at every spot and past the stable
+    # page.
+    for K in skip_rule_complexes():
+        for r in range(1, stable_page_index(K) + 2):
+            for p, q in spots(K):
+                assert (_explicit_entry(K, p, q, r)
+                        == ref_explicit_entry(K, p, q, r)), (p, q, r)
+
+
+def test_explicit_pages_only_rank(monkeypatch):
+    # Each solved entry is four ranks: no kernel basis, identity, product
+    # or side-by-side stack is formed.  Validation multiplies, so every
+    # complex is validated before those are made to raise.
+    complexes = short_shapes_and_random_complexes(18)
+    for K in complexes:
+        require_valid(K)
+
+    def refuse(name):
+        def raising(*args, **kwargs):
+            raise AssertionError(f"linalg.{name} called")
+        return raising
+
+    for name in ("nullspace", "identity", "mat_mul", "hstack",
+                 "rank_of_columns"):
+        monkeypatch.setattr(linalg, name, refuse(name))
+    for K in complexes:
+        r = stable_page_index(K)
+        assert pages_explicit(K, r) == pages_filtration(K, r)
 
 
 def test_explicit_pages_stop_solving_at_the_stable_page(monkeypatch):
