@@ -7,31 +7,24 @@ the rows of a ``linalg.Matrix`` as stored.  Input rows (of int and
 and are inserted one at a time.  Each new row is cleared at its leading
 column while a pivot row sits there; when it leads in a new column it
 becomes the pivot row of that column, and when it becomes zero it is done.
-That forward reduction is all that ranks and rank profiles need.  For the
-reduced echelon form, which only kernels read, the new pivot row is also
-cleared in the later pivot columns it touches and is then cleared from the
-earlier pivot rows that are nonzero in its pivot column.  Every combination
-``a*row - b*pivot`` uses the pivot entry and the entry to clear divided by
-their gcd, and each new row is divided by the gcd of its entries, so
-integers stay as small as the reduction allows.
+The reduction is forward only: earlier pivot rows are never revisited.
+Every combination ``a*row - b*pivot`` uses the pivot entry and the entry to
+clear divided by their gcd, and each new row is divided by the gcd of its
+entries, so integers stay as small as the reduction allows.
 
 Each pivot row starts at its pivot column, with a positive entry there, so
 the pivot rows are an echelon basis of the span of the input.  The pivot
 columns of any echelon basis of a span are the same set, so the pivots do
 not depend on the reduction steps or on the order of the input rows.  The
-echelon rows of the forward reduction are not unique: they depend on that
-order.  The reduced rows are unique: pivot rows that are zero in each
-other's pivot columns are the reduced row echelon form up to one positive
-scale per row, and being primitive fixes that scale.
+echelon rows themselves are not unique: they depend on that order.
 
 It also reports each pivot's origin, the input row whose residue created
 the pivot; that does depend on the order.  The pivot a row creates, if any,
 is the one pivot column of the rows up to it that the rows before it lack,
 so the origins too are fixed by the ordered input alone, whatever the
-reduction steps were, and are the same with and without back-substitution.
-``linalg.rank`` returns the (origin, pivot) pairs as the rank profile; fed
-boundary columns in filtration order, with row indices reversed, they are
-the persistence pairs (see :mod:`.spectral`).
+reduction steps were.  ``linalg.rank`` returns the (origin, pivot) pairs as
+the rank profile; fed boundary columns in filtration order, with row
+indices reversed, they are the persistence pairs (see :mod:`.spectral`).
 """
 
 from math import gcd, lcm
@@ -68,8 +61,9 @@ def _clear(row, col, pivot):
     return _primitive(out) if out else out
 
 
-def eliminate(rows, *, reduced=True):
-    """Echelon form of ``rows``; returns ``(pivots, echelon, origins)``.
+def eliminate(rows):
+    """Forward echelon form of ``rows``; returns ``(pivots, echelon,
+    origins)``.
 
     Each input row is a mapping from column index to a nonzero int or
     ``Fraction``; an empty row creates no pivot.  The input is not modified.
@@ -79,11 +73,7 @@ def eliminate(rows, *, reduced=True):
     mapping with a positive entry at its pivot and zero in every column
     left of it.  ``origins[i]`` is the position in ``rows`` of the input row
     that created ``pivots[i]``.  Pivots and origins depend on ``rows``
-    alone.  With ``reduced=False`` the rows are reduced forward only and
-    earlier pivot rows are never revisited, so the echelon rows are not
-    unique; only pivots and origins should be read.  By default each pivot
-    row is also zero in every other pivot column: the rows are the unique
-    reduced row echelon form.
+    alone; the echelon rows also depend on the order of ``rows``.
     """
     pivot_rows = {}
     origin = {}
@@ -100,12 +90,6 @@ def eliminate(rows, *, reduced=True):
         else:  # the row leads in a new column
             if row[col] < 0:
                 row = {j: -x for j, x in row.items()}
-            if reduced:
-                for c in [c for c in row if c in pivot_rows]:
-                    row = _clear(row, c, pivot_rows[c])
-                for c, other in pivot_rows.items():
-                    if col in other:
-                        pivot_rows[c] = _clear(other, col, row)
             pivot_rows[col] = row
             origin[col] = index
     pivots = sorted(pivot_rows)

@@ -5,13 +5,14 @@ nonzero}`` mapping per row, of Python ints and ``fractions.Fraction``;
 products, assembly, stacking, transposes and row slices visit stored entries
 only.  A :class:`Grid` is an immutable rectangle of ints: dims and tables.
 One fraction-free eliminator (:func:`._kernels.eliminate`) reads the
-stored rows, so results are exact and nothing overflows.  Ranks come from
-its forward reduction alone, whose pivots are those of every echelon form,
-and every command reads ranks only; :func:`nullspace`, kept as library API,
-is the one call that back-substitutes.  The input row behind each pivot is
-the rank profile, ``rank(a, profile=True)``, the filtration pages'
-persistence pairing.  Reports, parameters and tables are each a
-:class:`Record`, immutable in the same way.
+stored rows, so results are exact and nothing overflows.  It reduces
+forward only, and the pivots of that echelon form are those of every
+echelon form, so ranks need nothing more; every command reads ranks only.
+:func:`nullspace`, kept as library API, back-substitutes the forward rows
+itself.  The input row behind each pivot is the rank profile, ``rank(a,
+profile=True)``, the filtration pages' persistence pairing.  Reports,
+parameters and tables are each a :class:`Record`, immutable in the same
+way.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from numbers import Integral
 from operator import index
 from types import MappingProxyType
 
-from ._kernels import eliminate
+from ._kernels import _clear, eliminate
 
 _EMPTY = MappingProxyType({})
 _set = object.__setattr__
@@ -210,14 +211,6 @@ def _coerce(x):
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x)!r}")
 
 
-def zeros(rows, cols):
-    return Matrix._of((rows, cols), (_EMPTY,) * rows)
-
-
-def identity(n):
-    return Matrix((n, n), [{i: 1} for i in range(n)])
-
-
 def mat_mul(a, b):
     """Exact product."""
     if a.shape[1] != b.shape[0]:
@@ -269,14 +262,14 @@ def rank(a, profile=False):
     """Exact rank: the number of pivots of an echelon form of ``a``.
 
     The rows are reduced forward only: each is cleared at its leading
-    column until it leads in a new column or is zero, and earlier pivot
-    rows are never revisited.  With ``profile=True`` it returns the rank
-    profile instead: one ``(row, column)`` pair per pivot, ordered by
-    column, where ``row`` is the first row at which the leading rows of
-    ``a`` gain a pivot in ``column``.  ``rank(a[:i, :j])`` is the number of
-    pairs with ``row < i`` and ``column < j``.
+    column until it leads in a new column or is zero.  With
+    ``profile=True`` it returns the rank profile instead: one ``(row,
+    column)`` pair per pivot, ordered by column, where ``row`` is the first
+    row at which the leading rows of ``a`` gain a pivot in ``column``.
+    ``rank(a[:i, :j])`` is the number of pairs with ``row < i`` and
+    ``column < j``.
     """
-    pivots, _, origins = eliminate(a.rows, reduced=False)
+    pivots, _, origins = eliminate(a.rows)
     if profile:
         return list(zip(origins, pivots))
     return len(pivots)
@@ -289,11 +282,18 @@ def nullspace(a):
     form, ordered by increasing ``f``: the kernel vector that is 1 at ``f``
     and 0 at every other free column, scaled to the primitive integer
     vector with a positive entry at ``f``.  The basis depends only on the
-    row space of ``a``.  It is read off the reduced rows, so this alone of
-    the functions here has the eliminator back-substitute.
+    row space of ``a``: the forward echelon rows are back-substituted, each
+    pivot column, last to first, cleared from the earlier rows, and as each
+    row stays primitive with a positive pivot entry, the result is the
+    unique reduced echelon form.
     """
     n = a.shape[1]
     pivots, reduced, _ = eliminate(a.rows)
+    for k in range(len(pivots) - 1, 0, -1):
+        c, pivot = pivots[k], reduced[k]
+        for i in range(k):
+            if c in reduced[i]:
+                reduced[i] = _clear(reduced[i], c, pivot)
     pivset = set(pivots)
     free = [f for f in range(n) if f not in pivset]
     rows = [{} for _ in range(n)]

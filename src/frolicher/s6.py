@@ -189,9 +189,10 @@ _ORBITS = [(count, _orbit(dots)) for _name, dots, count in FAMILIES]
 
 
 def _require_admissible(d):
-    report = check_constraints(d)
-    if not report.all_hold:
-        raise InadmissibleParamsError(report)
+    """Raise unless every family count is non-negative, which is when the
+    catalog holds; the report is built only for the error."""
+    if min(family_counts(d).values()) < 0:
+        raise InadmissibleParamsError(check_constraints(d))
 
 
 def model_multiset(d):

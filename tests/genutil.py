@@ -169,7 +169,10 @@ def dv(K, p, q):
 
 def _map_or_zero(K, s, t):
     m = K.arrow(s, t)
-    return linalg.zeros(K.dim(*t), K.dim(*s)) if m is None else m
+    if m is None:
+        rows = K.dim(*t)
+        return linalg.Matrix((rows, K.dim(*s)), [{}] * rows)
+    return m
 
 
 def transposed(grid):
@@ -356,7 +359,7 @@ def square_complex(p, q, grid):
         raise ValueError("square does not fit the grid")
     dims = [[int(a - p in (0, 1) and b - q in (0, 1)) for b in range(q_max + 1)]
             for a in range(p_max + 1)]
-    one = linalg.identity(1)
+    one = [[1]]
     return DoubleComplex(p_max, q_max, dims,
                          d_horiz={(p, q): one, (p, q + 1): one},
                          d_vert={(p, q): one, (p + 1, q): [[-1]]})

@@ -13,6 +13,8 @@ from frolicher.spectral import pages_filtration, stable_page_index
 from frolicher.zigzag import canonicalize_shape, realize_shape
 from genutil import dh, dv, random_complex, ref_validate, square_complex
 
+ONE = linalg.from_rows(1, 1, [[1]])
+
 
 def dot(p, q, grid=(3, 3)):
     return realize_shape(canonicalize_shape([(p, q)]), grid)
@@ -30,8 +32,7 @@ def test_validate_flags_nonzero_dd():
     # 1-dim spots at (0,0), (1,0), (2,0) with both horizontal maps [1]:
     # the composite is [1] != 0.
     K = DoubleComplex(2, 0, [[1], [1], [1]],
-                      d_horiz={(0, 0): linalg.identity(1),
-                               (1, 0): linalg.identity(1)})
+                      d_horiz={(0, 0): ONE, (1, 0): ONE})
     report = validate(K)
     assert len(report) == 1
     v = report[0]
@@ -39,24 +40,22 @@ def test_validate_flags_nonzero_dd():
 
 
 def test_validate_flags_shape_mismatch():
-    K = DoubleComplex(1, 0, [[1], [2]], d_horiz={(0, 0): linalg.identity(1)})
+    K = DoubleComplex(1, 0, [[1], [2]], d_horiz={(0, 0): ONE})
     report = validate(K)
     assert len(report) == 1
     assert report[0].axiom == "shape"
 
 
 def test_validate_flags_map_leaving_grid():
-    K = DoubleComplex(0, 0, [[1]], d_horiz={(0, 0): linalg.identity(1)})
+    K = DoubleComplex(0, 0, [[1]], d_horiz={(0, 0): ONE})
     assert [v.axiom for v in validate(K)] == ["shape"]
 
 
 def test_validate_flags_broken_anticommute():
     sq = square_complex(0, 0, (1, 1))
     bad = DoubleComplex(1, 1, sq.dims,
-                        d_horiz={(0, 0): linalg.identity(1),
-                                 (0, 1): linalg.identity(1)},
-                        d_vert={(0, 0): linalg.identity(1),
-                                (1, 0): linalg.identity(1)})  # +1, not -1
+                        d_horiz={(0, 0): ONE, (0, 1): ONE},
+                        d_vert={(0, 0): ONE, (1, 0): ONE})  # +1, not -1
     assert [v.axiom for v in validate(bad)] == ["anticommute"]
 
 
@@ -234,12 +233,12 @@ def test_direct_sum_c_zigzags_block_identity():
     C = realize_shape(canonicalize_shape([(0, 1), (1, 1)]), (3, 3))
     S = direct_sum(C, C)
     assert S.dim(0, 1) == S.dim(1, 1) == 2
-    assert dh(S, 0, 1) == linalg.identity(2)
+    assert dh(S, 0, 1) == linalg.from_rows(2, 2, [[1, 0], [0, 1]])
 
 
 def test_direct_sum_rejects_invalid():
     bad = DoubleComplex(1, 0, [[2], [2]],
-                        d_horiz={(0, 0): linalg.identity(1)})
+                        d_horiz={(0, 0): ONE})
     with pytest.raises(InvalidComplexError) as err:
         direct_sum(bad, empty_complex(1, 0))
     assert err.value.report
@@ -254,7 +253,7 @@ def test_dual_of_c_zigzag():
     C = realize_shape(canonicalize_shape([(0, 1), (1, 1)]), (3, 3))
     D = dual(C)
     assert D.dim(2, 2) == D.dim(3, 2) == 1
-    assert dh(D, 2, 2) == linalg.identity(1)
+    assert dh(D, 2, 2) == ONE
     assert validate(D) == []
 
 
@@ -270,7 +269,7 @@ def test_conjugate_examples():
     C = realize_shape(canonicalize_shape([(0, 1), (1, 1)]), (3, 3))
     J = conjugate(C)
     assert J.dim(1, 0) == J.dim(1, 1) == 1
-    assert dv(J, 1, 0) == linalg.identity(1)
+    assert dv(J, 1, 0) == ONE
     rng = random.Random(43)
     for _ in range(10):
         K = random_complex(rng, 3, 3)
@@ -303,7 +302,7 @@ def test_corrupted_entry_detected():
     maps_h, maps_v = split_maps(sq)
     tampered = DoubleComplex(3, 3, sq.dims,
                              d_horiz=maps_h,
-                             d_vert={**maps_v, (2, 1): linalg.identity(1)})
+                             d_vert={**maps_v, (2, 1): ONE})
     assert any(v.axiom == "anticommute" for v in validate(tampered))
 
 
@@ -320,7 +319,7 @@ def test_corrupted_shape_detected_fuzz():
         kind, key = rng.choice(stored)
         target = maps_h if kind == "h" else maps_v
         m = target[key]
-        target[key] = linalg.vstack([m, linalg.zeros(1, m.shape[1])])
+        target[key] = linalg.vstack([m, linalg.Matrix((1, m.shape[1]), [{}])])
         broken = DoubleComplex(K.p_max, K.q_max, K.dims, maps_h, maps_v)
         assert validate(broken)
         hits += 1

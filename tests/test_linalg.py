@@ -13,15 +13,16 @@ from genutil import (random_fraction_matrix, random_int_matrix,
 def test_rank_small_known():
     m = linalg.from_rows(2, 2, [[1, 2], [2, 4]])
     assert linalg.rank(m) == 1
-    assert linalg.rank(linalg.identity(5)) == 5
-    assert linalg.rank(linalg.zeros(3, 4)) == 0
+    identity = [[int(i == j) for j in range(5)] for i in range(5)]
+    assert linalg.rank(linalg.from_rows(5, 5, identity)) == 5
+    assert linalg.rank(linalg.Matrix((3, 4), [{}] * 3)) == 0
 
 
 def test_rank_empty_shapes():
-    assert linalg.rank(linalg.zeros(0, 5)) == 0
-    assert linalg.rank(linalg.zeros(5, 0)) == 0
-    assert linalg.nullspace(linalg.zeros(0, 4)).shape == (4, 4)
-    assert linalg.nullspace(linalg.zeros(4, 0)).shape == (0, 0)
+    assert linalg.rank(linalg.Matrix((0, 5), [])) == 0
+    assert linalg.rank(linalg.Matrix((5, 0), [{}] * 5)) == 0
+    assert linalg.nullspace(linalg.Matrix((0, 4), [])).shape == (4, 4)
+    assert linalg.nullspace(linalg.Matrix((4, 0), [{}] * 4)).shape == (0, 0)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -80,7 +81,8 @@ def test_rank_profile_counts_leading_ranks(seed):
 def test_nullspace_is_the_documented_basis(seed):
     """Exactly the primitive free-column vectors, positive at their column."""
     rng = random.Random(seed + 300)
-    kinds = ("int", "fraction", "zero row", "no rows", "duplicate row")
+    kinds = ("int", "fraction", "zero row", "no rows", "duplicate row",
+             "dependent row")
     for kind in kinds * 12:
         r, c = rng.randint(1, 6), rng.randint(1, 7)
         if kind == "fraction":
@@ -93,6 +95,12 @@ def test_nullspace_is_the_documented_basis(seed):
             e = []
         elif kind == "duplicate row":
             e.insert(rng.randrange(r + 1), list(rng.choice(e)))
+        elif kind == "dependent row":
+            x, y = rng.choice(e), rng.choice(e)
+            a, b = (Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                    for _ in range(2))
+            e.insert(rng.randrange(r + 1),
+                     [a * s + b * t for s, t in zip(x, y)])
         m = linalg.from_rows(len(e), c, e)
         expected = ref_nullspace(m)
         basis = linalg.nullspace(m)
@@ -178,7 +186,7 @@ def test_mat_mul_exact_and_promotes():
 
 
 def test_assemble_blocks():
-    a = linalg.identity(2)
+    a = linalg.from_rows(2, 2, [[1, 0], [0, 1]])
     b = linalg.from_rows(1, 1, [[7]])
     m = linalg.assemble([2, 1], [2, 1], {(0, 0): a, (1, 1): b})
     assert m.shape == (3, 3)

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from frolicher import s6
 from frolicher.bicomplex import dual, validate
 from frolicher.cohomology import BettiVector, Table, dolbeault
 from frolicher.s6 import (DiamondParams, InadmissibleParamsError,
@@ -134,6 +135,29 @@ def test_realize_model_rejects_inadmissible():
     with pytest.raises(InadmissibleParamsError) as err:
         realize_model(DiamondParams(0, 0, 0, 0, 0))
     assert not err.value.report.all_hold
+
+
+def test_admissible_diamonds_build_no_report(monkeypatch):
+    # The gate reads the family counts; the catalog report is built only
+    # for the error it is raised with.
+    diamonds = enumerate_diamonds(2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_constraints called")
+
+    monkeypatch.setattr(s6, "check_constraints", refuse)
+    for d in diamonds:
+        assert verify_model(d) == []
+    monkeypatch.undo()
+    # One tuple for each live family count that can go negative.
+    for d in (DiamondParams(0, 0, 0, 0, 0), DiamondParams(1, 1, 2, 3, 0),
+              DiamondParams(0, 2, 4, 1, 3)):
+        report = check_constraints(d)
+        assert not report.all_hold
+        for fn in (model_multiset, predicted_tables, verify_model):
+            with pytest.raises(InadmissibleParamsError) as err:
+                fn(d)
+            assert err.value.report == report
 
 
 def test_realized_model_dims_self_dual():

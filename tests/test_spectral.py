@@ -214,8 +214,8 @@ def test_explicit_entries_match_the_kernel_definition():
 
 
 def test_explicit_pages_only_rank(monkeypatch):
-    # Each solved entry is four ranks: no kernel basis, identity, product
-    # or side-by-side stack is formed.  Validation multiplies, so every
+    # Each solved entry is four ranks: no kernel basis, product or
+    # side-by-side stack is formed.  Validation multiplies, so every
     # complex is validated before those are made to raise.
     complexes = short_shapes_and_random_complexes(18)
     for K in complexes:
@@ -226,8 +226,7 @@ def test_explicit_pages_only_rank(monkeypatch):
             raise AssertionError(f"linalg.{name} called")
         return raising
 
-    for name in ("nullspace", "identity", "mat_mul", "hstack",
-                 "rank_of_columns"):
+    for name in ("nullspace", "mat_mul", "hstack", "rank_of_columns"):
         monkeypatch.setattr(linalg, name, refuse(name))
     for K in complexes:
         r = stable_page_index(K)
@@ -319,7 +318,7 @@ def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         pages_explicit(K, -1)
     bad = DoubleComplex(1, 0, [[2], [2]],
-                        d_horiz={(0, 0): linalg.identity(1)})
+                        d_horiz={(0, 0): [[1]]})
     with pytest.raises(InvalidComplexError):
         pages_filtration(bad, 2)
     with pytest.raises(InvalidComplexError):

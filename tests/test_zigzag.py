@@ -47,16 +47,16 @@ def test_realize_dot_and_arrow():
     dot = realize_shape(canonicalize_shape([(0, 0)]), (3, 3))
     assert dot.dim(0, 0) == 1 and dot.total_dim() == 1
     c = realize_shape(canonicalize_shape([(0, 1), (1, 1)]), (3, 3))
-    assert dh(c, 0, 1) == linalg.identity(1)
+    assert dh(c, 0, 1) == linalg.from_rows(1, 1, [[1]])
 
 
 def test_realize_z4a_is_valid():
     K = realize_shape(canonicalize_shape([(0, 1), (1, 1), (1, 0), (2, 0)]),
                       (3, 3))
     assert validate(K) == []
-    assert dh(K, 0, 1) == linalg.identity(1)
-    assert dv(K, 1, 0) == linalg.identity(1)
-    assert dh(K, 1, 0) == linalg.identity(1)
+    assert dh(K, 0, 1) == linalg.from_rows(1, 1, [[1]])
+    assert dv(K, 1, 0) == linalg.from_rows(1, 1, [[1]])
+    assert dh(K, 1, 0) == linalg.from_rows(1, 1, [[1]])
 
 
 def test_realize_outside_grid():
@@ -69,7 +69,7 @@ def test_synthesize_empty_and_double():
     c = canonicalize_shape([(0, 1), (1, 1)])
     K = synthesize(Counter({c: 2}), (3, 3))
     assert K.dim(0, 1) == K.dim(1, 1) == 2
-    assert dh(K, 0, 1) == linalg.identity(2)
+    assert dh(K, 0, 1) == linalg.from_rows(2, 2, [[1, 0], [0, 1]])
 
 
 def test_synthesize_matches_fold():
