@@ -8,8 +8,8 @@ beta = h_2^{0,2}.  The remaining Hodge numbers are derived:
 
 together with the reflection h^{p,q} = h^{3-p,3-q}.  With this choice all the
 equalities of the catalog become identities and exactly three inequalities
-stay live; they are the non-negativity of the zigzag family counts of the
-model complex.
+stay live: the model complex's zigzag family counts are non-negative.  The
+counts alone decide admissibility; :func:`check_constraints` only reports.
 
 Each admissible tuple is realized as an explicit double complex on the 3x3
 grid, built from seven zigzag families closed up under the duality and
@@ -102,13 +102,13 @@ class InferenceMismatchError(ValueError):
 
 
 def check_constraints(d, assume_a0=False):
-    """Evaluate the full constraint catalog on one parameter tuple.
+    """Report the full constraint catalog on one parameter tuple.
 
     The equalities hold by construction of the derived quantities and are
     reported as definitional; the live checks are the three family-count
     inequalities, read off :func:`family_counts` (plus ``h10 <= 1`` under
-    the zero-algebraic-dimension assumption).  The tuple is admissible iff
-    every check holds.
+    the zero-algebraic-dimension assumption).  Every check holds iff
+    ``_admissible`` does, which decides; this builds only the report.
     """
     checks = []
 
@@ -148,13 +148,13 @@ def check_constraints(d, assume_a0=False):
 
 
 def enumerate_diamonds(bound, assume_a0=False, h11_zero_only=False):
-    """Admissible tuples in the box [0, bound]^5, lexicographic order."""
+    """Admissible tuples in [0, bound]^5, lexicographic order; no reports."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
     rng = range(bound + 1)
     box = product(rng, rng, range(1) if h11_zero_only else rng, rng, rng)
     return [d for d in starmap(DiamondParams, box)
-            if check_constraints(d, assume_a0).all_hold]
+            if _admissible(d, assume_a0)]
 
 
 # The seven zigzag families of the model complex, with their counts.  The
@@ -188,10 +188,15 @@ def _orbit(dots):
 _ORBITS = [(count, _orbit(dots)) for _name, dots, count in FAMILIES]
 
 
+def _admissible(d, assume_a0=False):
+    """Every family count is >= 0 (and h10 <= 1 under ``assume_a0``)."""
+    return (min(family_counts(d).values()) >= 0
+            and (d.h10 <= 1 or not assume_a0))
+
+
 def _require_admissible(d):
-    """Raise unless every family count is non-negative, which is when the
-    catalog holds; the report is built only for the error."""
-    if min(family_counts(d).values()) < 0:
+    """Raise, with the catalog report, unless :func:`_admissible`."""
+    if not _admissible(d):
         raise InadmissibleParamsError(check_constraints(d))
 
 
@@ -323,25 +328,23 @@ def infer_params(e1, e2):
     grids.  Every entry of both tables is checked against the predictions of
     the extracted tuple; the first inconsistent spot (tables scanned E1 then
     E2, spots in lexicographic (p, q) order) raises
-    :class:`InferenceMismatchError`.
+    :class:`InferenceMismatchError`, as does an inadmissible tuple.
     """
-    g1 = Grid(e1.grid if isinstance(e1, Table) else e1)
-    g2 = Grid(e2.grid if isinstance(e2, Table) else e2)
+    g1, g2 = (Grid(t.grid if isinstance(t, Table) else t) for t in (e1, e2))
     if g1.shape != (4, 4) or g2.shape != (4, 4):
         raise InferenceMismatchError(
             f"tables must be 4x4 grids, got {g1.shape} and {g2.shape}")
     values = (g1[1, 0], g1[0, 2], g1[1, 1], g2[0, 1], g2[0, 2])
     try:
         d = DiamondParams(*values)
-    except ValueError as exc:
-        raise InferenceMismatchError(f"extracted parameters invalid: {exc}")
-    report = check_constraints(d)
-    if not report.all_hold:
-        bad = report.violated()[0]
+        pred = predicted_tables(d)
+    except InadmissibleParamsError as exc:
+        bad = exc.report.violated()[0]
         raise InferenceMismatchError(
             f"extracted parameters ({d}) inadmissible: {bad.cid} "
-            f"({bad.relation})")
-    pred = predicted_tables(d)
+            f"({bad.relation})") from None
+    except ValueError as exc:
+        raise InferenceMismatchError(f"extracted parameters invalid: {exc}")
     for name, p, q, e, a in _diff([("E1", pred.e1.grid, g1),
                                    ("E2", pred.e2.grid, g2)]):
         raise InferenceMismatchError(

@@ -101,12 +101,17 @@ def test_family_counts_etesi():
 
 
 def test_catalog_holds_iff_every_family_count_is_non_negative():
-    for t in product(range(5), repeat=5):
-        d = DiamondParams(*t)
+    box = [DiamondParams(*t) for t in product(range(5), repeat=5)]
+    for d in box:
         counts_hold = all(v >= 0 for v in family_counts(d).values())
         assert check_constraints(d).all_hold == counts_hold
         assert (check_constraints(d, assume_a0=True).all_hold
                 == (counts_hold and d.h10 <= 1))
+    # The enumeration is the box filtered by the catalog, under every flag.
+    for assume_a0, h11_zero_only in product((False, True), repeat=2):
+        expected = [d for d in box if not (h11_zero_only and d.h11)
+                    and check_constraints(d, assume_a0).all_hold]
+        assert enumerate_diamonds(4, assume_a0, h11_zero_only) == expected
 
 
 def test_model_multiset_etesi():
@@ -138,16 +143,18 @@ def test_realize_model_rejects_inadmissible():
 
 
 def test_admissible_diamonds_build_no_report(monkeypatch):
-    # The gate reads the family counts; the catalog report is built only
-    # for the error it is raised with.
-    diamonds = enumerate_diamonds(2)
-
+    # The family counts decide; the catalog report is built only for the
+    # error an inadmissible tuple is raised with.
     def refuse(*args, **kwargs):
         raise AssertionError("check_constraints called")
 
     monkeypatch.setattr(s6, "check_constraints", refuse)
-    for d in diamonds:
+    for assume_a0, h11_zero_only in product((False, True), repeat=2):
+        assert enumerate_diamonds(3, assume_a0, h11_zero_only)
+    for d in enumerate_diamonds(2):
         assert verify_model(d) == []
+        pages = pages_filtration(realize_model(d), 2)
+        assert infer_params(pages[0], pages[1]) == d
     monkeypatch.undo()
     # One tuple for each live family count that can go negative.
     for d in (DiamondParams(0, 0, 0, 0, 0), DiamondParams(1, 1, 2, 3, 0),
@@ -158,6 +165,23 @@ def test_admissible_diamonds_build_no_report(monkeypatch):
             with pytest.raises(InadmissibleParamsError) as err:
                 fn(d)
             assert err.value.report == report
+    # An inadmissible extraction names the first check its report violates,
+    # one kind each: count c < 0 (first violating h11-ugarte), d < 0, h < 0.
+    for table, p, q, value, message in [
+            ("e2", 0, 1, 2, "(h10=0 h02=0 h11=1 alpha=2 beta=0) inadmissible: "
+             "h11-ugarte (h^{1,1} >= h^{1,2} - h^{0,2})"),
+            ("e2", 0, 2, 1, "(h10=0 h02=0 h11=1 alpha=0 beta=1) inadmissible: "
+             "count-d (h_2^{0,2} <= h^{0,2} (length-2 family at (0,2) counts "
+             "h^{0,2}-beta >= 0))"),
+            ("e1", 1, 1, 0, "(h10=0 h02=0 h11=0 alpha=0 beta=0) inadmissible: "
+             "count-h (h^{1,2} >= h^{0,2} (length-2 family at (1,1) counts "
+             "h^{1,1}-h^{0,2}+alpha-1 >= 0))")]:
+        pred = predicted_tables(ETESI)
+        grids = {"e1": pred.e1.grid.tolist(), "e2": pred.e2.grid.tolist()}
+        grids[table][p][q] = value
+        with pytest.raises(InferenceMismatchError) as err:
+            infer_params(grids["e1"], grids["e2"])
+        assert str(err.value) == f"extracted parameters {message}"
 
 
 def test_realized_model_dims_self_dual():
