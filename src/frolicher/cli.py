@@ -246,9 +246,9 @@ def build_parser():
                         "per total degree; explicit: one small system per "
                         "spot and page, an independent check; both: run the "
                         "two and compare them.  Time on a dense document "
-                        "grows faster than cubically: about 5 s (filtration) "
-                        "and 9 s (explicit) at total dimension 400, 16 times "
-                        "that per doubling, and the size "
+                        "grows faster than cubically: about 6 s (filtration) "
+                        "and 10 s (explicit) at total dimension 400 (2-core "
+                        "Xeon), 16 times that per doubling, and the size "
                         f"bound {serialize.MAX_SIZE} does not bound the time")
     p.set_defaults(func=cmd_pages)
 

@@ -35,7 +35,7 @@ class DiamondParams(Record):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         for name, v in zip(self.__slots__, self.as_tuple()):
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
 
     # Derived Hodge numbers.

@@ -23,10 +23,10 @@ does not matter.
 ``pages_explicit`` solves instead for chains of existential extensions at
 the spot itself: a class at ``(p, q)`` on page r is a d_v-closed element
 whose horizontal images can be corrected r - 1 times, modulo values of
-staircases arriving from the left.  It builds its small systems from the
-stored arrows only and counts their solutions from pivots: four ranks per
-entry by rank-nullity, with no kernel basis, product or back-substitution.
-It solves an entry only where d_{r-1}: E_{r-1}(p, q) -> E_{r-1}(p+r-1,
+staircases arriving from the left.  Both are one staircase of stored
+arrows, laid out at (p, q) and at the source of d_{r-1}, and counted from
+pivot columns, with no kernel basis, product or back-substitution.  It
+solves an entry only where d_{r-1}: E_{r-1}(p, q) -> E_{r-1}(p+r-1,
 q-r+2) can act.  Page r is the cohomology of page r - 1 under d_{r-1}
 (page 0 is the spots with d_0 = d_v), so on the method's own page r - 1:
 
@@ -39,8 +39,8 @@ A spot that no stored arrow enters or leaves is a direct summand of the
 complex, a sum of dots, so it keeps its dimension on every page and is
 never solved either.  All three rules are exact, so skipping the solve
 changes no entry.  The method never forms the total complex and reads no
-rank profile, so the two methods share only the eliminator's pivot counts;
-they must agree on every valid complex, and the test suite enforces this.
+pivot's origin row, so the two methods share only the eliminator's pivot
+columns; they must agree on every valid complex, and the tests enforce it.
 ``cohomology.de_rham`` takes its own ranks of the total differentials, so
 the abutment of the stable page to it is a check of the pairing, not a
 restatement of it.
@@ -118,34 +118,34 @@ def _entry(grid, p, q):
     return grid[p, q] if 0 <= p < P and 0 <= q < Q else 0
 
 
-def _rank(m):
-    """``linalg.rank(m)``; 0, with no elimination, when ``m`` has no entry."""
-    return linalg.rank(m) if m.any() else 0
+def _pivots(m):
+    """Pivot columns of ``m``; none, with no elimination, if ``m`` is zero."""
+    return [c for _, c in linalg.rank(m, profile=True)] if m.any() else []
+
+
+def _staircase(K, p, q, r):
+    """The arrows out of the spots (p+i, q-i), i = r-1 down to 0, into the
+    spots just above them, in the same order."""
+    chain = [(p + i, q - i) for i in range(r - 1, -1, -1)]
+    return block(K, [(a, b + 1) for a, b in chain], chain)
 
 
 def _explicit_entry(K, p, q, r):
-    """E_r(p, q) = dim Z_r - dim B_r, both counted from pivots.
+    """E_r(p, q) = dim Z_r - dim B_r, both counted from pivot columns.
 
-    Z_r is the a_0 of chains (a_0, .., a_{r-1}) at spots (p+i, q-i) with
-    d_v a_0 = 0 and d_h a_{i-1} + d_v a_i = 0, the kernel of the block M
-    into the spots just above the chain's, where the equations sit; those
-    with a_0 = 0 are the kernel of M', M without a_0's columns, so
-    dim Z_r = dim(p, q) - rank M + rank M'.  B_r is Y(ker N): the values
-    d_v b_0 + d_h b_1 of chains (b_0, .., b_{r-1}) at (p, q-1), (p-1, q),
-    .., (p-r+1, q+r-2) that continue to anticommute and close up vertically,
-    so dim B_r = rank [N; Y] - rank N.  On a valid complex B_r lies in Z_r:
-    d_v b_0 + d_h b_1 is the a_0 of the chain (a_0, d_h b_0, 0, ..), so
-    dim(Z_r + B_r) - dim B_r is the difference of the two counts.
+    Z_r is the a_0 of chains (a_0, .., a_{r-1}) at (p+i, q-i) with d_v a_0
+    = 0 and d_h a_{i-1} + d_v a_i = 0, the kernel of S(p, q); a_0's columns
+    come last, so dim Z_r = dim(p, q) - the pivots in them.  B_r is the
+    values d_v b_0 + d_h b_1 of the chains in S at the source (p-r+1,
+    q+r-2) whose other rows vanish; (p, q)'s rows come first, so dim B_r =
+    rank S - rank S[n:].  On a valid complex B_r lies in Z_r: d_v b_0 +
+    d_h b_1 is the a_0 of the chain (a_0, d_h b_0, 0, ..).
     """
     n = K.dim(p, q)
-    chain = [(p + i, q - i) for i in range(r)]
-    above = [(a, b + 1) for a, b in chain]
-    cycles = (n - _rank(block(K, above, chain))
-              + _rank(block(K, above, chain[1:])))
-    arriving = [(p, q - 1)] + [(p - j, q + j - 1) for j in range(1, r)]
-    closing = [(a, b + 1) for a, b in arriving[1:]]
-    stacked = block(K, closing + [(p, q)], arriving)
-    return cycles - _rank(stacked) + _rank(stacked[:stacked.shape[0] - n])
+    z = _staircase(K, p, q, r)
+    s = _staircase(K, p - r + 1, q + r - 2, r)
+    cycles = n - sum(c >= z.shape[1] - n for c in _pivots(z))
+    return cycles - len(_pivots(s)) + len(_pivots(s[n:]))
 
 
 def pages_explicit(K, r_max):

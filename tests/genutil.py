@@ -426,12 +426,16 @@ def _random_unimodular(rng, n, ops=None):
     return (linalg.from_rows(n, n, P), linalg.from_rows(n, n, Pinv))
 
 
-def change_basis(rng, K, rational=False):
-    """Conjugate every spot by a random unimodular (optionally rational) map."""
+def change_basis(rng, K, rational=False, ops=None):
+    """Conjugate every spot by a random unimodular (optionally rational) map.
+
+    ``ops(n)`` is the number of elementary steps of the map at a spot of
+    dimension n (``n + 1`` when ``ops`` is None); ``lambda n: 4 * n`` makes
+    every map dense."""
     basis = {}
     for p, q in spots(K):
         n = K.dim(p, q)
-        P, Pinv = _random_unimodular(rng, n)
+        P, Pinv = _random_unimodular(rng, n, None if ops is None else ops(n))
         if rational and n and rng.random() < 0.6:
             scale = [Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2, 3)))
                      for _ in range(n)]

@@ -50,6 +50,18 @@ def test_params_reject_negative():
         DiamondParams(-1, 0, 0, 0, 0)
 
 
+def test_params_reject_bool():
+    # bool is an int subclass: True would pass as 1 and print as h10=True.
+    # The document parser refuses it the same way (serialize._is_int).
+    for i in range(5):
+        args = [0] * 5
+        args[i] = True
+        with pytest.raises(ValueError, match="non-negative integer"):
+            DiamondParams(*args)
+    with pytest.raises(ValueError):
+        DiamondParams(h10=False, h02=0, h11=1, alpha=0, beta=0)
+
+
 def test_etesi_admissible():
     report = check_constraints(ETESI)
     assert report.all_hold

@@ -1,11 +1,13 @@
 import random
+import sys
 
 import pytest
 
 from frolicher.bicomplex import (DoubleComplex, InvalidComplexError,
                                  require_valid)
 from frolicher.cohomology import Table, de_rham, dolbeault
-from frolicher.s6 import DiamondParams, realize_model
+from frolicher.s6 import (DiamondParams, enumerate_diamonds,
+                          predicted_tables, realize_model)
 from frolicher.spectral import (_explicit_entry, degeneration_page,
                                 euler_char_of_page, pages_explicit,
                                 pages_filtration, stable_page_index)
@@ -214,9 +216,10 @@ def test_explicit_entries_match_the_kernel_definition():
 
 
 def test_explicit_pages_only_rank(monkeypatch):
-    # Each solved entry is four ranks: no kernel basis, product or
-    # side-by-side stack is formed.  Validation multiplies, so every
-    # complex is validated before those are made to raise.
+    # Each solved entry counts the pivot columns of two staircases, three
+    # eliminations at most: no kernel basis, product or side-by-side stack
+    # is formed.  Validation multiplies, so every complex is validated
+    # before those are made to raise.
     complexes = short_shapes_and_random_complexes(18)
     for K in complexes:
         require_valid(K)
@@ -231,6 +234,67 @@ def test_explicit_pages_only_rank(monkeypatch):
     for K in complexes:
         r = stable_page_index(K)
         assert pages_explicit(K, r) == pages_filtration(K, r)
+
+
+def test_explicit_entries_assemble_two_staircases(monkeypatch):
+    # One system per solved entry at the spot, one at the source of
+    # d_{r-1}, both laid out by _staircase: Z_r and B_r share no block.
+    from frolicher import spectral
+    solve, block = spectral._explicit_entry, spectral.block
+    solved, callers = [], []
+
+    def counted_solve(K, p, q, r):
+        solved.append((p, q, r))
+        return solve(K, p, q, r)
+
+    def counted_block(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return block(*args)
+
+    monkeypatch.setattr(spectral, "_explicit_entry", counted_solve)
+    monkeypatch.setattr(spectral, "block", counted_block)
+    for K in short_shapes_and_random_complexes(19):
+        require_valid(K)
+        pages_explicit(K, stable_page_index(K))
+    assert len(solved) > 300
+    assert len(callers) == 2 * len(solved)
+    assert set(callers) == {"_staircase"}
+
+
+def test_explicit_pages_read_no_pivot_origin(monkeypatch):
+    # The rank profile's origins make the barcode of pages_filtration; the
+    # explicit method reads pivot columns only, so it is blind to them.
+    complexes = short_shapes_and_random_complexes(20)
+    expected = [pages_explicit(K, stable_page_index(K)) for K in complexes]
+    rank = linalg.rank
+
+    def no_origins(a, profile=False):
+        out = rank(a, profile=profile)
+        return [(-1, c) for _, c in out] if profile else out
+
+    monkeypatch.setattr(linalg, "rank", no_origins)
+    for K, pages in zip(complexes, expected):
+        assert pages_explicit(K, stable_page_index(K)) == pages
+    K = complexes[-1]
+    assert pages_filtration(K, stable_page_index(K)) != pages_explicit(
+        K, stable_page_index(K))
+
+
+def test_densely_scrambled_models():
+    # Every spot of the 78 bound-2 models under a 4n-step unimodular map:
+    # the staircases are dense there, not 0/1/-1.  The pages do not depend
+    # on the basis, so both methods must still give the closed forms.
+    rng = random.Random(2026)
+    diamonds = enumerate_diamonds(2)
+    assert len(diamonds) == 78
+    for d in diamonds:
+        K = change_basis(rng, realize_model(d), ops=lambda n: 4 * n)
+        r = stable_page_index(K)
+        pages = pages_filtration(K, r)
+        assert pages_explicit(K, r) == pages, d
+        pred = predicted_tables(d)
+        assert (pages[0], pages[1]) == (pred.e1, pred.e2), d
+        assert all(t.grid == pred.e3plus.grid for t in pages[2:]), d
 
 
 def test_explicit_pages_stop_solving_at_the_stable_page(monkeypatch):
