@@ -19,10 +19,9 @@ from . import serialize
 from .bicomplex import InvalidComplexError, validate
 from .cohomology import (aeppli, arithmetic_genus, bott_chern, de_rham,
                          dolbeault, row_cohomology)
-from .s6 import (DiamondParams, InadmissibleParamsError,
+from .s6 import (GRID, DiamondParams, InadmissibleParamsError,
                  InferenceMismatchError, check_constraints, enumerate_diamonds,
-                 infer_params, model_multiset, predicted_tables,
-                 realize_model, verify_model)
+                 infer_params, model_multiset, predicted_tables, verify_model)
 from .serialize import ParseError
 from .spectral import (degeneration_page, pages_explicit, pages_filtration,
                        stable_page_index)
@@ -182,7 +181,7 @@ def cmd_s6_enumerate(args):
 
 
 def cmd_s6_realize(args):
-    K = realize_model(_model_params(args)[0])
+    K = synthesize(_model_params(args)[1], GRID)
     _write(args.output, serialize.complex_to_json(K))
     print(f"wrote {args.output}")
     return 0
@@ -246,10 +245,10 @@ def build_parser():
                         "per total degree; explicit: one small system per "
                         "spot and page, an independent check; both: run the "
                         "two and compare them.  Time on a dense document "
-                        "grows faster than cubically: about 6 s (filtration) "
-                        "and 10 s (explicit) at total dimension 400 (2-core "
-                        "Xeon), 16 times that per doubling, and the size "
-                        f"bound {serialize.MAX_SIZE} does not bound the time")
+                        "grows faster than cubically: about 4 s with either "
+                        "method at total dimension 400 (2-core Xeon), and "
+                        f"the size bound {serialize.MAX_SIZE} does not bound "
+                        "the time")
     p.set_defaults(func=cmd_pages)
 
     p = sub.add_parser("degeneration", help="first stable page index")

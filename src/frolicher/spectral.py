@@ -21,26 +21,26 @@ profile of that degree's boundary matrix (``linalg.rank`` with
 does not matter.
 
 ``pages_explicit`` solves instead for chains of existential extensions at
-the spot itself: a class at ``(p, q)`` on page r is a d_v-closed element
-whose horizontal images can be corrected r - 1 times, modulo values of
-staircases arriving from the left.  Both are one staircase of stored
-arrows, laid out at (p, q) and at the source of d_{r-1}, and counted from
-pivot columns, with no kernel basis, product or back-substitution.  It
-solves an entry only where d_{r-1}: E_{r-1}(p, q) -> E_{r-1}(p+r-1,
-q-r+2) can act.  Page r is the cohomology of page r - 1 under d_{r-1}
-(page 0 is the spots with d_0 = d_v), so on the method's own page r - 1:
+the spot itself: Z_r(p, q) is the space of d_v-closed elements whose
+horizontal images can be corrected r - 1 times, the kernel of one
+staircase of stored arrows, counted from its pivot columns with no kernel
+basis, product or back-substitution.  Page r is the cohomology of page
+r - 1 under d_{r-1} (page 0 is the spots with d_0 = d_v, and Z_0 is every
+element).  On E_{r-1}(s) = Z_{r-1}(s) / B_{r-1}(s) the kernel of d_{r-1}
+is Z_r(s) / B_{r-1}(s), so its rank out of s is dim Z_{r-1}(s) -
+dim Z_r(s), and
 
-  (i)  if E_{r-1}(p, q) = 0, then E_r(p, q) = 0, a subquotient of it;
-  (ii) if E_{r-1} is zero at the target (p + r - 1, q - r + 2) and at the
-       source (p - r + 1, q + r - 2), a spot off the grid counting as
-       zero, then d_{r-1} is zero into and out of (p, q): E_r = E_{r-1}.
+    E_r(t) = E_{r-1}(t) - rank out of t - rank out of the source of t.
 
-A spot that no stored arrow enters or leaves is a direct summand of the
-complex, a sum of dots, so it keeps its dimension on every page and is
-never solved either.  All three rules are exact, so skipping the solve
-changes no entry.  The method never forms the total complex and reads no
-pivot's origin row, so the two methods share only the eliminator's pivot
-columns; they must agree on every valid complex, and the tests enforce it.
+d_{r-1} has no rank out of s, so Z_r(s) = Z_{r-1}(s) with nothing solved,
+when page r - 1 is zero at s or at the target (p + r - 1, q - r + 2) of
+d_{r-1}, a spot off the grid counting as zero, or when no stored arrow
+leaves s: then every element a_0 starts the chain (a_0, 0, 0, ..), so
+Z_r(s) is all of s on every page.  Every other (spot, page) is one
+staircase and at most one elimination, and B_r is never solved.  The
+method never forms the total complex and reads no pivot's origin row, so
+the two methods share only the eliminator's pivot columns; they must agree
+on every valid complex, and the tests enforce it.
 ``cohomology.de_rham`` takes its own ranks of the total differentials, so
 the abutment of the stable page to it is a check of the pairing, not a
 restatement of it.
@@ -118,11 +118,6 @@ def _entry(grid, p, q):
     return grid[p, q] if 0 <= p < P and 0 <= q < Q else 0
 
 
-def _pivots(m):
-    """Pivot columns of ``m``; none, with no elimination, if ``m`` is zero."""
-    return [c for _, c in linalg.rank(m, profile=True)] if m.any() else []
-
-
 def _staircase(K, p, q, r):
     """The arrows out of the spots (p+i, q-i), i = r-1 down to 0, into the
     spots just above them, in the same order."""
@@ -130,49 +125,45 @@ def _staircase(K, p, q, r):
     return block(K, [(a, b + 1) for a, b in chain], chain)
 
 
-def _explicit_entry(K, p, q, r):
-    """E_r(p, q) = dim Z_r - dim B_r, both counted from pivot columns.
-
-    Z_r is the a_0 of chains (a_0, .., a_{r-1}) at (p+i, q-i) with d_v a_0
-    = 0 and d_h a_{i-1} + d_v a_i = 0, the kernel of S(p, q); a_0's columns
-    come last, so dim Z_r = dim(p, q) - the pivots in them.  B_r is the
-    values d_v b_0 + d_h b_1 of the chains in S at the source (p-r+1,
-    q+r-2) whose other rows vanish; (p, q)'s rows come first, so dim B_r =
-    rank S - rank S[n:].  On a valid complex B_r lies in Z_r: d_v b_0 +
-    d_h b_1 is the a_0 of the chain (a_0, d_h b_0, 0, ..).
-    """
+def _cycles(K, p, q, r):
+    """dim Z_r(p, q), the a_0 of chains (a_0, .., a_{r-1}) at (p+i, q-i)
+    with d_v a_0 = 0 and d_h a_{i-1} + d_v a_i = 0: the kernel of S(p, q)
+    read at a_0, whose columns come last, so dim Z_r = dim(p, q) - the
+    pivot columns among them.  A zero S is not eliminated."""
     n = K.dim(p, q)
-    z = _staircase(K, p, q, r)
-    s = _staircase(K, p - r + 1, q + r - 2, r)
-    cycles = n - sum(c >= z.shape[1] - n for c in _pivots(z))
-    return cycles - len(_pivots(s)) + len(_pivots(s[n:]))
+    s = _staircase(K, p, q, r)
+    if not s.any():
+        return n
+    return n - sum(c >= s.shape[1] - n
+                   for _, c in linalg.rank(s, profile=True))
 
 
 def pages_explicit(K, r_max):
-    """Page tables r = 1 .. r_max from per-spot representative systems.
+    """Page tables r = 1 .. r_max from the cycle counts dim Z_r per spot.
 
-    Entry (p, q) of page r is copied from page r - 1 (page 0 is the dims
-    grid) when it is zero there (rule i), or when page r - 1 is zero at
-    both the target (p + r - 1, q - r + 2) and the source
-    (p - r + 1, q + r - 2) of d_{r-1} (rule ii); E_r is the cohomology of
-    E_{r-1} under d_{r-1}, so both copies are exact.  A spot with no stored
-    arrow into or out of it keeps its dimension on every page.  Every other
-    entry is solved at its spot.  Pages after :func:`stable_page_index` are
-    the stable page itself.
+    Z_r(s) is carried from Z_{r-1}(s) (Z_0 is the dims grid) unless d_{r-1}
+    can act out of s: a stored arrow leaves s and page r - 1 is nonzero at
+    s and at its target (p + r - 1, q - r + 2).  There it is solved at s,
+    and d_{r-1} has rank dim Z_{r-1}(s) - dim Z_r(s) out of s, which E_r
+    loses at s and at the target.  Pages after :func:`stable_page_index`
+    are the stable page itself.
     """
     require_valid(K)
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    touched = sorted({spot for arrow, _ in K.stored_maps() for spot in arrow})
+    sources = {s for (s, _), _ in K.stored_maps()}
+    cycles = K.dims.tolist()
     tables = []
     prev = K.dims
     last = min(r_max, stable_page_index(K))
     for r in range(1, last + 1):
         g = prev.tolist()
-        for p, q in touched:
-            if g[p][q] and (_entry(prev, p + r - 1, q - r + 2)
-                            or _entry(prev, p - r + 1, q + r - 2)):
-                g[p][q] = _explicit_entry(K, p, q, r)
+        for p, q in sources:
+            if prev[p, q] and _entry(prev, p + r - 1, q - r + 2):
+                z = _cycles(K, p, q, r)
+                rank, cycles[p][q] = cycles[p][q] - z, z
+                g[p][q] -= rank
+                g[p + r - 1][q - r + 2] -= rank
         prev = linalg.Grid(g)
         tables.append(Table(prev, r=r))
     return tables + [Table(prev, r=r) for r in range(last + 1, r_max + 1)]

@@ -108,36 +108,43 @@ def ref_profile(mat):
                   key=lambda pair: pair[1])
 
 
+def _ref_system(K, rows, cols):
+    """The arrows from the spots ``cols`` into the spots ``rows``, laid out
+    from dense rows of ``K.arrow``; a pair of spots with no stored arrow
+    between them is a zero block."""
+    blocks = [[_map_or_zero(K, s, t).tolist() for s in cols] for t in rows]
+    dense = [sum([b[i] for b in line], []) for line, t in zip(blocks, rows)
+             for i in range(K.dim(*t))]
+    return linalg.from_rows(len(dense), sum(K.dim(*s) for s in cols), dense)
+
+
+def ref_cycles(K, p, q, r):
+    """A spanning list of Z_r(p, q): the a_0 of a :func:`ref_nullspace`
+    basis of the chains (a_0, .., a_{r-1}) at (p+i, q-i) with d_v a_0 = 0
+    and d_h a_{i-1} + d_v a_i = 0.  Its :func:`ref_rank` is dim Z_r."""
+    n = K.dim(p, q)
+    chain = [(p + i, q - i) for i in range(r)]
+    return [v[:n] for v in
+            ref_nullspace(_ref_system(K, [(a, b + 1) for a, b in chain],
+                                      chain))]
+
+
 def ref_explicit_entry(K, p, q, r):
     """E_r(p, q) by the kernel definition: dim(Z + B) - dim B.
 
-    Z is spanned by the a_0 of a :func:`ref_nullspace` basis of the chains
-    (a_0, .., a_{r-1}) at (p+i, q-i) with d_v a_0 = 0 and d_h a_{i-1} +
-    d_v a_i = 0.  B is spanned by the values d_v b_0 + d_h b_1, formed by
-    :func:`ref_mul`, of a kernel basis of the chains (b_0, .., b_{r-1}) at
-    (p, q-1), (p-1, q), .., (p-r+1, q+r-2) with d_v b_j + d_h b_{j+1} = 0
-    and d_v b_{r-1} = 0.  Every system is laid out here from dense rows of
-    ``K.arrow``, so nothing runs ``bicomplex.block`` or the package's
-    eliminator, and B is not assumed to lie in Z.
+    Z is spanned by :func:`ref_cycles`.  B is spanned by the values d_v b_0
+    + d_h b_1, formed by :func:`ref_mul`, of a kernel basis of the chains
+    (b_0, .., b_{r-1}) at (p, q-1), (p-1, q), .., (p-r+1, q+r-2) with d_v
+    b_j + d_h b_{j+1} = 0 and d_v b_{r-1} = 0.  Every system is laid out
+    here from dense rows of ``K.arrow``, so nothing runs
+    ``bicomplex.block`` or the package's eliminator, and B is not assumed
+    to lie in Z.
     """
-    def system(rows, cols):
-        # The arrows from the spots ``cols`` into the spots ``rows``; a
-        # pair of spots with no stored arrow between them is a zero block.
-        blocks = [[_map_or_zero(K, s, t).tolist() for s in cols]
-                  for t in rows]
-        dense = [sum([b[i] for b in line], []) for line, t in zip(blocks, rows)
-                 for i in range(K.dim(*t))]
-        return linalg.from_rows(len(dense), sum(K.dim(*s) for s in cols),
-                                dense)
-
-    n = K.dim(p, q)
-    chain = [(p + i, q - i) for i in range(r)]
-    z = [v[:n] for v in
-         ref_nullspace(system([(a, b + 1) for a, b in chain], chain))]
+    z = ref_cycles(K, p, q, r)
     arriving = [(p, q - 1)] + [(p - j, q + j - 1) for j in range(1, r)]
     closing = [(a, b + 1) for a, b in arriving[1:]]
-    y = system([(p, q)], arriving).tolist()
-    b = ref_mul(ref_nullspace(system(closing, arriving)),
+    y = _ref_system(K, [(p, q)], arriving).tolist()
+    b = ref_mul(ref_nullspace(_ref_system(K, closing, arriving)),
                 [list(col) for col in zip(*y)])
     return ref_rank(z + b) - ref_rank(b)
 

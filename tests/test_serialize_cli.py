@@ -522,6 +522,28 @@ def test_cli_s6_realize_pages_match_prediction(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_cli_s6_realize_builds_the_model_multiset_once(tmp_path, capsys,
+                                                       monkeypatch):
+    # The multiset that the size check built is the one synthesized, so the
+    # family counts are computed once, and the document is the model.
+    counted = []
+    family_counts = s6.family_counts
+
+    def counted_counts(d):
+        counted.append(d)
+        return family_counts(d)
+
+    monkeypatch.setattr(s6, "family_counts", counted_counts)
+    out = tmp_path / "model.json"
+    d = DiamondParams(0, 1, 1, 1, 1)
+    argv = ["s6", "realize", "--h10", "0", "--h02", "1", "--h11", "1",
+            "--alpha", "1", "--beta", "1", "-o", str(out)]
+    assert main(argv) == 0
+    assert counted == [d]
+    monkeypatch.undo()
+    assert out.read_text() == complex_to_json(realize_model(d))
+
+
 def test_cli_s6_realize_inadmissible(capsys):
     argv = ["s6", "realize", "--h10", "0", "--h02", "0", "--h11", "0",
             "--alpha", "0", "--beta", "0", "-o", "/tmp/unused.json"]

@@ -8,12 +8,12 @@ from frolicher.bicomplex import (DoubleComplex, InvalidComplexError,
 from frolicher.cohomology import Table, de_rham, dolbeault
 from frolicher.s6 import (DiamondParams, enumerate_diamonds,
                           predicted_tables, realize_model)
-from frolicher.spectral import (_explicit_entry, degeneration_page,
+from frolicher.spectral import (_cycles, degeneration_page,
                                 euler_char_of_page, pages_explicit,
                                 pages_filtration, stable_page_index)
 from frolicher.zigzag import canonicalize_shape, enumerate_shapes, realize_shape
-from genutil import (change_basis, random_complex, ref_explicit_entry,
-                     shrinks, spots)
+from genutil import (change_basis, random_complex, ref_cycles,
+                     ref_explicit_entry, ref_rank, shrinks, spots)
 
 from frolicher import linalg
 
@@ -155,23 +155,6 @@ def at(grid, p, q):
     return int(grid[p, q]) if 0 <= p < P and 0 <= q < Q else 0
 
 
-def rule_filled(K, tables):
-    """The entries ``(p, q, r)`` that pages_explicit reads off page r - 1.
-
-    Rule (i): a zero on page r - 1 stays zero.  Rule (ii): an entry whose
-    d_{r-1} target and source are zero on page r - 1 is kept.  Page 0 is
-    the dims grid.
-    """
-    prev = K.dims
-    for t in tables:
-        r = t.r
-        for p, q in spots(K):
-            if not (prev[p, q] and (at(prev, p + r - 1, q - r + 2)
-                                    or at(prev, p - r + 1, q + r - 2))):
-                yield p, q, r
-        prev = t.grid
-
-
 def short_shapes_and_random_complexes(seed):
     """Every shape of length <= 6 on the 3 x 3 grid, then 24 random
     complexes, a third of them rational."""
@@ -191,35 +174,52 @@ def skip_rule_complexes():
 
 
 def test_skip_rules_are_sound():
-    zero = kept = 0
+    # pages_explicit solves dim Z_r at (p, q) only where a stored arrow
+    # leaves (p, q) and page r - 1 is nonzero there and at the target
+    # (p + r - 1, q - r + 2) of d_{r-1}.  Everywhere else it carries dim
+    # Z_{r-1} (dim Z_0 is the dims grid): a solve there must count the same.
+    zero = dead_end = no_arrow = 0
     for K in skip_rule_complexes():
-        tables = pages_explicit(K, stable_page_index(K) + 1)
-        for p, q, r in rule_filled(K, tables):
-            entry = tables[r - 1].grid[p, q]
-            assert entry == _explicit_entry(K, p, q, r), (p, q, r)
-            zero += entry == 0
-            kept += entry > 0
-    # Both rules fire, rule (ii) also on nonzero entries.
-    assert zero > 1000 and kept > 100
+        sources = {s for (s, _), _ in K.stored_maps()}
+        carried = K.dims.tolist()
+        prev = K.dims
+        for t in pages_explicit(K, stable_page_index(K) + 1):
+            r = t.r
+            for p, q in spots(K):
+                z = _cycles(K, p, q, r)
+                target = at(prev, p + r - 1, q - r + 2)
+                if (p, q) in sources and prev[p, q] and target:
+                    carried[p][q] = z
+                    continue
+                assert z == carried[p][q], (p, q, r)
+                zero += prev[p, q] == 0
+                dead_end += prev[p, q] > 0 and target == 0
+                no_arrow += prev[p, q] > 0 and target > 0
+            prev = t.grid
+    # Every skip fires: a zero spot, a zero target and no arrow out.
+    assert zero > 1000 and dead_end > 100 and no_arrow > 10
 
 
 def test_explicit_entries_match_the_kernel_definition():
-    # dim Z_r - dim B_r, as counted from pivots, against dim(Z_r + B_r) -
-    # dim B_r from kernel bases, a product and a stack of dense rows: this
-    # also checks that B_r lies in Z_r, at every spot and past the stable
-    # page.
+    # Every entry of pages_explicit, past the stable page, against dim(Z_r
+    # + B_r) - dim B_r from kernel bases, a product and a stack of dense
+    # rows, which also checks that B_r lies in Z_r; and the pivot count
+    # dim Z_r at every spot and page against the reference Z_r.
     for K in skip_rule_complexes():
-        for r in range(1, stable_page_index(K) + 2):
+        for t in pages_explicit(K, stable_page_index(K) + 1):
+            r = t.r
             for p, q in spots(K):
-                assert (_explicit_entry(K, p, q, r)
+                assert (t.grid[p, q]
                         == ref_explicit_entry(K, p, q, r)), (p, q, r)
+                assert (_cycles(K, p, q, r)
+                        == ref_rank(ref_cycles(K, p, q, r))), (p, q, r)
 
 
 def test_explicit_pages_only_rank(monkeypatch):
-    # Each solved entry counts the pivot columns of two staircases, three
-    # eliminations at most: no kernel basis, product or side-by-side stack
-    # is formed.  Validation multiplies, so every complex is validated
-    # before those are made to raise.
+    # Each solve counts the pivot columns of one staircase, one elimination
+    # at most: no kernel basis, product or side-by-side stack is formed.
+    # Validation multiplies, so every complex is validated before those are
+    # made to raise.
     complexes = short_shapes_and_random_complexes(18)
     for K in complexes:
         require_valid(K)
@@ -236,28 +236,32 @@ def test_explicit_pages_only_rank(monkeypatch):
         assert pages_explicit(K, r) == pages_filtration(K, r)
 
 
-def test_explicit_entries_assemble_two_staircases(monkeypatch):
-    # One system per solved entry at the spot, one at the source of
-    # d_{r-1}, both laid out by _staircase: Z_r and B_r share no block.
+def test_explicit_entries_assemble_one_staircase(monkeypatch):
+    # One system per solve, laid out by _staircase at the spot, and no
+    # (spot, page) of a complex solved twice: B_r is never solved.  The
+    # short shapes solve few entries, so the bound-2 models join them.
     from frolicher import spectral
-    solve, block = spectral._explicit_entry, spectral.block
+    solve, block = spectral._cycles, spectral.block
     solved, callers = [], []
 
     def counted_solve(K, p, q, r):
-        solved.append((p, q, r))
+        solved.append((id(K), p, q, r))
         return solve(K, p, q, r)
 
     def counted_block(*args):
         callers.append(sys._getframe(1).f_code.co_name)
         return block(*args)
 
-    monkeypatch.setattr(spectral, "_explicit_entry", counted_solve)
+    monkeypatch.setattr(spectral, "_cycles", counted_solve)
     monkeypatch.setattr(spectral, "block", counted_block)
-    for K in short_shapes_and_random_complexes(19):
+    complexes = short_shapes_and_random_complexes(19) + [
+        realize_model(d) for d in enumerate_diamonds(2)]
+    for K in complexes:
         require_valid(K)
         pages_explicit(K, stable_page_index(K))
     assert len(solved) > 300
-    assert len(callers) == 2 * len(solved)
+    assert len(set(solved)) == len(solved)
+    assert len(callers) == len(solved)
     assert set(callers) == {"_staircase"}
 
 
@@ -303,13 +307,13 @@ def test_explicit_pages_stop_solving_at_the_stable_page(monkeypatch):
     # page, and rebuild none of them.
     from frolicher import spectral
     solved = []
-    solve = spectral._explicit_entry
+    solve = spectral._cycles
 
     def counted_solve(K, p, q, r):
         solved.append(r)
         return solve(K, p, q, r)
 
-    monkeypatch.setattr(spectral, "_explicit_entry", counted_solve)
+    monkeypatch.setattr(spectral, "_cycles", counted_solve)
     rng = random.Random(17)
     for i in range(12):
         K = random_complex(rng, 1 + i % 4, 1 + (i // 4) % 3,
@@ -332,22 +336,22 @@ def test_explicit_pages_never_solve_a_spot_without_arrows(monkeypatch):
     # is on every page, with nothing to solve.
     from frolicher import spectral
     solved = []
-    solve = spectral._explicit_entry
+    solve = spectral._cycles
 
     def counted_solve(K, p, q, r):
         solved.append((p, q))
         return solve(K, p, q, r)
 
-    monkeypatch.setattr(spectral, "_explicit_entry", counted_solve)
+    monkeypatch.setattr(spectral, "_cycles", counted_solve)
     dots = DoubleComplex(31, 31, [[1] * 32] * 32)
     s = stable_page_index(dots)
     assert pages_explicit(dots, s) == pages_filtration(dots, s)
     assert solved == []
-    # Beside an arrow, only the arrow's two spots are ever solved.
+    # Beside an arrow, only the spot it leaves is ever solved.
     K = DoubleComplex(5, 5, [[1] * 6] * 6, d_horiz={(2, 3): [[1]]})
     s = stable_page_index(K)
     assert pages_explicit(K, s) == pages_filtration(K, s)
-    assert set(solved) <= {(2, 3), (3, 3)}
+    assert set(solved) == {(2, 3)}
 
 
 def test_no_elimination_of_a_system_without_entries(monkeypatch):
