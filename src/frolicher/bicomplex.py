@@ -14,12 +14,13 @@ zero map.  Validation, duals, conjugates, direct sums, the total
 differential and serialization walk the stored arrows, so no zero matrix is
 built for an absent map.
 
-Validation checks d^2 = 0 on the total complex: one total differential D_k
-per degree, assembled from the stored arrows, and one product D_{k+1} D_k
-per degree, whose nonzero blocks name the broken axioms.  A complex is
-unchecked or valid: only a validation with an empty report keeps its
-matrices, and :func:`total_differential` hands them to the pages and to de
-Rham cohomology, so each is assembled once.
+Validation reports first the misfits that the constructor noted, then
+checks d^2 = 0 on the total complex: one total differential D_k per degree,
+assembled from the arrows that fit, and one product D_{k+1} D_k per degree,
+whose nonzero blocks name the broken axioms.  A complex is unchecked or
+valid: only a validation with an empty report keeps its matrices, and
+:func:`total_differential` hands them to the pages and to de Rham
+cohomology, so each is assembled once.
 
 Values are immutable once built; every operation here is a pure function.
 """
@@ -58,14 +59,15 @@ class DoubleComplex(linalg._Immutable):
     matrices of int/Fraction out of ``(p, q)``, each a
     :class:`.linalg.Matrix` or any iterable of rows of entries.  The
     constructor files them, as immutable matrices, in a read-only arrow
-    table keyed by ``(source, target)`` and sorted.  It accepts matrices of any
-    shape, so that validation can report problems instead of refusing to
-    represent them; a zero matrix of the correct shape on the grid (every
-    map touching a zero-dimensional spot is one) is the absent arrow and is
-    not stored.
+    table keyed by ``(source, target)`` and sorted, and decides each fit as
+    it files it: an arrow fits when both ends are on the grid and its matrix
+    is target-dim x source-dim.  A misfit is stored all the same, so that
+    validation can report it, and its detail is noted, in arrow order, in a
+    second read-only table.  A zero matrix that fits (every map touching a
+    zero-dimensional spot is one) is the absent arrow and is not stored.
     """
 
-    __slots__ = ("p_max", "q_max", "dims", "_arrows", "_totals")
+    __slots__ = ("p_max", "q_max", "dims", "_arrows", "_misfits", "_totals")
 
     def __init__(self, p_max, q_max, dims, d_horiz=None, d_vert=None):
         if p_max < 0 or q_max < 0:
@@ -79,16 +81,22 @@ class DoubleComplex(linalg._Immutable):
         _set(self, "p_max", int(p_max))
         _set(self, "q_max", int(q_max))
         _set(self, "dims", grid)
-        arrows = {}
-        for (dp, dq), maps in (((1, 0), d_horiz or {}), ((0, 1), d_vert or {})):
+        arrows, misfits = {}, {}
+        for kind, (dp, dq), maps in (("horiz", (1, 0), d_horiz or {}),
+                                     ("vert", (0, 1), d_vert or {})):
             for (p, q), m in maps.items():
                 m = linalg.as_matrix(m)
                 s, t = (int(p), int(q)), (int(p) + dp, int(q) + dq)
-                if not (_on_grid(self, s, t)
-                        and m.shape == (self.dim(*t), self.dim(*s))
-                        and not m.any()):
-                    arrows[s, t] = m
+                if min(s) < 0 or t[0] > p_max or t[1] > q_max:
+                    misfits[s, t] = f"d_{kind} leaves the grid"
+                elif m.shape != (grid[t], grid[s]):
+                    misfits[s, t] = (f"d_{kind} is {m.shape[0]}x{m.shape[1]}, "
+                                     f"expected {grid[t]}x{grid[s]}")
+                elif not m.any():
+                    continue
+                arrows[s, t] = m
         _set(self, "_arrows", MappingProxyType(dict(sorted(arrows.items()))))
+        _set(self, "_misfits", MappingProxyType(dict(sorted(misfits.items()))))
         _set(self, "_totals", None)
 
     def dim(self, p, q):
@@ -129,10 +137,6 @@ class DoubleComplex(linalg._Immutable):
                 f"total_dim={self.total_dim()})")
 
 
-def _on_grid(K, *spots):
-    return all(0 <= p <= K.p_max and 0 <= q <= K.q_max for p, q in spots)
-
-
 def _from_arrows(p_max, q_max, dims, arrows):
     """The complex whose arrow table is ``arrows`` (zero maps dropped)."""
     horiz = {s: m for (s, t), m in arrows.items() if t[0] != s[0]}
@@ -164,39 +168,23 @@ def validate(K):
     Reported axioms: ``shape`` (stored matrix does not match the dims grid,
     or sits outside the grid), ``dd_horiz`` / ``dd_vert`` (a differential
     composed with itself is nonzero), ``anticommute`` (d_h d_v + d_v d_h is
-    nonzero).  After the shape pass, the arrows that passed it are assembled
+    nonzero).  The shape violations are the misfits that the constructor
+    noted, and no fit is decided here.  The arrows that fit are assembled
     into one total differential D_k per degree, and d^2 = 0 is one product
     D_{k+1} D_k per degree; a degree whose factors have no stored entry is
     not multiplied.  A nonzero block of the product from spot s to spot u
     names its axiom by u - s and is reported at s, unless a unit-step path
-    s -> t -> u runs through an arrow that failed the shape pass: there the
-    composite is meaningless.  Reports list the shape violations in arrow
-    order, then the rest by spot, ``dd_horiz`` before ``dd_vert`` before
-    ``anticommute``.
+    s -> t -> u runs through a misfit: there the composite is meaningless.
+    Reports list the shape violations in arrow order, then the rest by
+    spot, ``dd_horiz`` before ``dd_vert`` before ``anticommute``.
 
     When the report is empty, the D_k are the total differentials of ``K``;
     they are kept on ``K`` and :func:`total_differential` returns them.  An
     invalid ``K`` keeps nothing.
     """
-    out = []
-    bad = set()
-    good = {}
-
-    for (s, t), m in K.stored_maps():
-        kind = "horiz" if t[0] != s[0] else "vert"
-        if not _on_grid(K, s, t):
-            out.append(Violation(*s, "shape", f"d_{kind} leaves the grid"))
-            bad.add((s, t))
-            continue
-        expected = (K.dim(*t), K.dim(*s))
-        if m.shape != expected:
-            out.append(Violation(*s, "shape",
-                                 f"d_{kind} is {m.shape[0]}x{m.shape[1]}, "
-                                 f"expected {expected[0]}x{expected[1]}"))
-            bad.add((s, t))
-            continue
-        good[s, t] = m
-
+    out = [Violation(*s, "shape", detail)
+           for (s, _), detail in K._misfits.items()]
+    good = {a: m for a, m in K.stored_maps() if a not in K._misfits}
     totals = [block(K, degree_spots(K, k + 1), degree_spots(K, k), good)
               for k in range(K.p_max + K.q_max + 1)]
     broken = set()
@@ -214,7 +202,7 @@ def validate(K):
         step = (u[0] - s[0], u[1] - s[1])
         axiom, detail, steps = _AXIOMS[step]
         middles = [(s[0] + a, s[1] + b) for a, b in steps]
-        if bad.isdisjoint([a for t in middles for a in ((s, t), (t, u))]):
+        if not any(a in K._misfits for t in middles for a in ((s, t), (t, u))):
             blocks.append((s, _RANK[step], Violation(*s, axiom, detail)))
     out += [v for _, _, v in sorted(blocks, key=lambda b: b[:2])]
     if not out:

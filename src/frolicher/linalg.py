@@ -143,10 +143,10 @@ class Grid(_Immutable):
 class Record(_Immutable):
     """An immutable record whose ``__slots__`` name its fields in order.
 
-    The constructor takes the fields by position or by name, and a missing
-    or unknown field is a ``TypeError``.  Two records are equal when they
-    are of one type with equal fields, and the hash is that of the fields,
-    so a record holding a :class:`Grid` is unhashable.
+    The constructor takes the fields by position or by name, a list as a
+    tuple, and a missing or unknown field is a ``TypeError``.  Two records
+    are equal when they are of one type with equal fields, and the hash is
+    that of the fields, so a record holding a :class:`Grid` is unhashable.
     """
 
     __slots__ = ()
@@ -156,12 +156,13 @@ class Record(_Immutable):
         if len(args) > len(names):
             raise TypeError(f"{type(self).__name__} takes {len(names)} "
                             f"fields, got {len(args)}")
-        for name, value in zip(names, args):
-            _set(self, name, value)
+        values = list(args)
         for name in names[len(args):]:
             if name not in kwargs:
                 raise TypeError(f"{type(self).__name__} is missing {name!r}")
-            _set(self, name, kwargs.pop(name))
+            values.append(kwargs.pop(name))
+        for name, value in zip(names, values):
+            _set(self, name, tuple(value) if isinstance(value, list) else value)
         if kwargs:
             raise TypeError(f"{type(self).__name__} got an unexpected or "
                             f"repeated field {next(iter(kwargs))!r}")

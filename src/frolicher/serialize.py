@@ -1,8 +1,9 @@
 """On-disk formats: JSON complex documents, zigzag multisets, dot lists.
 
-Rationals serialize as strings ``"n"`` or ``"n/d"`` with d > 0 and the
-fraction in lowest terms, and the parser reads no other spelling (a JSON
-integer aside).  Dimension grids serialize as ``dims[p][q]``.
+Rationals serialize as strings ``"n"`` or ``"n/d"``, d > 1, in lowest
+terms.  The parser reads JSON integers and strings ``-?[0-9]+(/[0-9]+)?``
+whose denominator is that of the value in lowest terms, so also ``"01"``,
+``"-0"``, ``"1/1"`` and ``"1/01"``.  Dimension grids are ``dims[p][q]``.
 Zero maps and maps touching a zero-dimensional spot are omitted from the
 document; the parser rejects the latter if present.  Round trip is exact:
 ``parse(serialize(K))`` reproduces ``K`` including every matrix entry.
@@ -36,7 +37,7 @@ def fraction_to_str(x):
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-# The strings that :func:`fraction_to_str` writes, and the only ones read.
+# The grammar of the rational strings read, wider than what is written.
 _RATIONAL = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
 
 
@@ -48,8 +49,11 @@ def str_to_fraction(s):
         raise ParseError(f"not a rational: {s!r:.40}")
     try:
         f = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {s!r:.40}: {exc}")
+    except ZeroDivisionError:
+        raise ParseError(f"bad rational {s!r:.40}: zero denominator")
+    except ValueError:  # the interpreter's digit limit
+        raise ParseError(f"bad rational {s!r:.40}: a numerator or denominator "
+                         f"has more than {sys.get_int_max_str_digits()} digits")
     if m[1] and int(m[1]) != f.denominator:
         raise ParseError(f"rational {s!r} is not in lowest terms")
     return f

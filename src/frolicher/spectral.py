@@ -36,11 +36,13 @@ d_{r-1} has no rank out of s, so Z_r(s) = Z_{r-1}(s) with nothing solved,
 when page r - 1 is zero at s or at the target (p + r - 1, q - r + 2) of
 d_{r-1}, a spot off the grid counting as zero, or when no stored arrow
 leaves s: then every element a_0 starts the chain (a_0, 0, 0, ..), so
-Z_r(s) is all of s on every page.  Every other (spot, page) is one
-staircase and at most one elimination, and B_r is never solved.  The
-method never forms the total complex and reads no pivot's origin row, so
-the two methods share only the eliminator's pivot columns; they must agree
-on every valid complex, and the tests enforce it.
+Z_r(s) is all of s on every page; on page 1, where the staircase is the
+d_v out of s alone, so is Z_1(s) when no d_v leaves s.  Every other (spot,
+page) is one staircase, never all zero, and at most one elimination, and
+B_r is never solved.  The method never forms the total complex and reads
+no pivot's origin row, so the two methods share only the eliminator's
+pivot columns; they must agree on every valid complex, and the tests
+enforce it.
 ``cohomology.de_rham`` takes its own ranks of the total differentials, so
 the abutment of the stable page to it is a check of the pairing, not a
 restatement of it.
@@ -142,15 +144,16 @@ def pages_explicit(K, r_max):
     """Page tables r = 1 .. r_max from the cycle counts dim Z_r per spot.
 
     Z_r(s) is carried from Z_{r-1}(s) (Z_0 is the dims grid) unless d_{r-1}
-    can act out of s: a stored arrow leaves s and page r - 1 is nonzero at
-    s and at its target (p + r - 1, q - r + 2).  There it is solved at s,
-    and d_{r-1} has rank dim Z_{r-1}(s) - dim Z_r(s) out of s, which E_r
-    loses at s and at the target.  Pages after :func:`stable_page_index`
-    are the stable page itself.
+    can act out of s: a stored arrow leaves s (on page 1 a d_v, the whole
+    staircase there) and page r - 1 is nonzero at s and at its target
+    (p + r - 1, q - r + 2).  There it is solved at s, and d_{r-1} has rank
+    dim Z_{r-1}(s) - dim Z_r(s) out of s, which E_r loses at s and at the
+    target.  Pages after :func:`stable_page_index` are the stable page.
     """
     require_valid(K)
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
+    d_v_sources = {s for (s, t), _ in K.stored_maps() if s[0] == t[0]}
     sources = {s for (s, _), _ in K.stored_maps()}
     cycles = K.dims.tolist()
     tables = []
@@ -158,7 +161,7 @@ def pages_explicit(K, r_max):
     last = min(r_max, stable_page_index(K))
     for r in range(1, last + 1):
         g = prev.tolist()
-        for p, q in sources:
+        for p, q in d_v_sources if r == 1 else sources:
             if prev[p, q] and _entry(prev, p + r - 1, q - r + 2):
                 z = _cycles(K, p, q, r)
                 rank, cycles[p][q] = cycles[p][q] - z, z

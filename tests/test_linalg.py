@@ -240,3 +240,37 @@ def test_records_set_their_fields_in_slot_order():
             Pair(*args, **kwargs)
     with pytest.raises(TypeError):
         hash(Pair(linalg.Grid([[1]]), 2))
+
+
+# A record keeps a list field as a tuple, so that it stays immutable,
+# hashable and equal to the record built from a tuple.
+def test_a_record_of_a_list_is_hashable():
+    from frolicher.zigzag import ZigzagShape
+    shape = ZigzagShape([(0, 1), (1, 1)])
+    assert shape.dots == ((0, 1), (1, 1))
+    assert hash(shape) == hash(ZigzagShape(((0, 1), (1, 1))))
+
+
+def test_a_record_of_a_list_equals_the_canonical_one():
+    from frolicher.zigzag import ZigzagShape, canonicalize_shape
+    assert ZigzagShape([(0, 1), (1, 1)]) == canonicalize_shape(
+        [(0, 1), (1, 1)])
+    assert Pair([1], b=[2]) == Pair((1,), (2,))
+
+
+def test_a_record_shares_no_list_with_its_caller():
+    from frolicher.zigzag import ZigzagShape
+    dots = [(0, 1), (1, 1)]
+    shape = ZigzagShape(dots)
+    dots.append((1, 0))
+    with pytest.raises(AttributeError):
+        shape.dots.append((1, 0))
+    assert len(shape) == 2
+
+
+def test_a_record_list_field_refuses_item_assignment():
+    from frolicher.cohomology import BettiVector
+    b = BettiVector([1, 0, 1])
+    with pytest.raises(TypeError):
+        b.b[0] = 7
+    assert list(b.b) == [1, 0, 1] and b == BettiVector((1, 0, 1))

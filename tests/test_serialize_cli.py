@@ -29,19 +29,25 @@ def test_fraction_strings():
     assert str_to_fraction("5") == Fraction(5)
     assert str_to_fraction(5) == Fraction(5)
     with pytest.raises(ParseError):
-        str_to_fraction("1/0")
-    with pytest.raises(ParseError):
         str_to_fraction("a/b")
     with pytest.raises(ParseError):
         str_to_fraction(None)
-    # Only the writer's own grammar is read: "1e1000000" once built a
-    # 3.3-million-bit integer, and "1e999999999" ran for over a minute.
+    # Only the grammar -?[0-9]+(/[0-9]+)? is read, with the denominator of
+    # the value in lowest terms: "1e1000000" once built a 3.3-million-bit
+    # integer, and "1e999999999" ran for over a minute.  The grammar is
+    # wider than what the writer emits.
     for x in (Fraction(0), Fraction(-3, 7), Fraction(10 ** 40, 3)):
         assert str_to_fraction(fraction_to_str(x)) == x
+    for text, x in (("01", 1), ("-0", 0), ("1/1", 1), ("1/01", 1)):
+        assert str_to_fraction(text) == x
     for bad in ("1e1000000", "1e999999999", "1.5", "+1", " 1", "1_000",
-                "\u0663", "1/-2", "-/2", "1/", "", True, 1.0, [1]):
+                "\u0663", "1/-2", "-/2", "1/", "", True, 1.0, [1], "2/4",
+                "0/5"):
         with pytest.raises(ParseError):
             str_to_fraction(bad)
+    with pytest.raises(ParseError, match="^bad rational '1/0': zero "
+                                         "denominator$"):
+        str_to_fraction("1/0")
 
 
 def test_round_trip_with_rationals():
@@ -185,6 +191,22 @@ def test_cli_names_the_overlong_integer_literal(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: invalid JSON: an integer literal has more than "
         f"{sys.get_int_max_str_digits()} digits\n")
+
+
+@pytest.mark.parametrize("entry", ["1" * 5000, "1/" + "3" * 5000],
+                         ids=["numerator", "denominator"])
+def test_cli_names_the_overlong_rational(entry, tmp_path, capsys):
+    # A matrix entry longer than the interpreter converts once ended with
+    # Python's advice to call sys.set_int_max_str_digits().
+    doc = {"p_max": 1, "q_max": 0, "dims": [[1], [1]],
+           "d_horiz": [{"p": 0, "q": 0, "m": [[entry]]}]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert one_error_line(err) and err.startswith("error: bad rational ")
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "set_int_max_str_digits" not in err
 
 
 # Shape and grid errors that once echoed whole 4,000-digit dots: a dot

@@ -175,11 +175,13 @@ def skip_rule_complexes():
 
 def test_skip_rules_are_sound():
     # pages_explicit solves dim Z_r at (p, q) only where a stored arrow
-    # leaves (p, q) and page r - 1 is nonzero there and at the target
-    # (p + r - 1, q - r + 2) of d_{r-1}.  Everywhere else it carries dim
-    # Z_{r-1} (dim Z_0 is the dims grid): a solve there must count the same.
-    zero = dead_end = no_arrow = 0
+    # leaves (p, q), on page 1 a d_v, and page r - 1 is nonzero there and at
+    # the target (p + r - 1, q - r + 2) of d_{r-1}.  Everywhere else it
+    # carries dim Z_{r-1} (dim Z_0 is the dims grid): a solve there must
+    # count the same.
+    zero = dead_end = no_arrow = no_d_v = 0
     for K in skip_rule_complexes():
+        d_v_sources = {s for (s, t), _ in K.stored_maps() if s[0] == t[0]}
         sources = {s for (s, _), _ in K.stored_maps()}
         carried = K.dims.tolist()
         prev = K.dims
@@ -188,16 +190,20 @@ def test_skip_rules_are_sound():
             for p, q in spots(K):
                 z = _cycles(K, p, q, r)
                 target = at(prev, p + r - 1, q - r + 2)
-                if (p, q) in sources and prev[p, q] and target:
+                solved = d_v_sources if r == 1 else sources
+                if (p, q) in solved and prev[p, q] and target:
                     carried[p][q] = z
                     continue
                 assert z == carried[p][q], (p, q, r)
                 zero += prev[p, q] == 0
                 dead_end += prev[p, q] > 0 and target == 0
-                no_arrow += prev[p, q] > 0 and target > 0
+                live = prev[p, q] > 0 and target > 0
+                no_arrow += live and (p, q) not in sources
+                no_d_v += live and (p, q) in sources
             prev = t.grid
-    # Every skip fires: a zero spot, a zero target and no arrow out.
-    assert zero > 1000 and dead_end > 100 and no_arrow > 10
+    # Every skip fires: a zero spot, a zero target, no arrow out, and on
+    # page 1 an arrow out of the spot but no d_v.
+    assert zero > 1000 and dead_end > 100 and no_arrow > 10 and no_d_v >= 3
 
 
 def test_explicit_entries_match_the_kernel_definition():
@@ -237,9 +243,10 @@ def test_explicit_pages_only_rank(monkeypatch):
 
 
 def test_explicit_entries_assemble_one_staircase(monkeypatch):
-    # One system per solve, laid out by _staircase at the spot, and no
-    # (spot, page) of a complex solved twice: B_r is never solved.  The
-    # short shapes solve few entries, so the bound-2 models join them.
+    # One system per solve, laid out by _staircase at the spot, never all
+    # zero, and no (spot, page) of a complex solved twice: B_r is never
+    # solved.  The short shapes solve few entries, so the bound-2 models
+    # join them.
     from frolicher import spectral
     solve, block = spectral._cycles, spectral.block
     solved, callers = [], []
@@ -250,7 +257,9 @@ def test_explicit_entries_assemble_one_staircase(monkeypatch):
 
     def counted_block(*args):
         callers.append(sys._getframe(1).f_code.co_name)
-        return block(*args)
+        staircase = block(*args)
+        assert staircase.any(), "laid out an all-zero staircase"
+        return staircase
 
     monkeypatch.setattr(spectral, "_cycles", counted_solve)
     monkeypatch.setattr(spectral, "block", counted_block)
