@@ -18,18 +18,19 @@ Validation reports first the misfits that the constructor noted, then
 checks d^2 = 0 on the total complex: one total differential D_k per degree,
 assembled from the arrows that fit, and one product D_{k+1} D_k per degree,
 whose nonzero blocks name the broken axioms.  A complex is unchecked or
-valid: only a validation with an empty report keeps its matrices, and
-:func:`total_differential` hands them to the pages and to de Rham
-cohomology, so each is assembled once.
+valid: only a validation with an empty report keeps its matrices and the
+:func:`layout` of each degree, where each spot's coordinates sit in them,
+and hands them to the pages and to the cohomology: each is made once.
 
 Values are immutable once built; every operation here is a pure function.
 """
 
+from itertools import accumulate
 from types import MappingProxyType
 
 from . import linalg
 
-# After the constructor, only validate writes a slot: _totals, when valid.
+# After the constructor, only validate writes: _totals and _layout, if valid.
 _set = object.__setattr__
 
 
@@ -67,7 +68,8 @@ class DoubleComplex(linalg._Immutable):
     zero-dimensional spot is one) is the absent arrow and is not stored.
     """
 
-    __slots__ = ("p_max", "q_max", "dims", "_arrows", "_misfits", "_totals")
+    __slots__ = ("p_max", "q_max", "dims", "_arrows", "_misfits", "_totals",
+                 "_layout")
 
     def __init__(self, p_max, q_max, dims, d_horiz=None, d_vert=None):
         if p_max < 0 or q_max < 0:
@@ -98,6 +100,7 @@ class DoubleComplex(linalg._Immutable):
         _set(self, "_arrows", MappingProxyType(dict(sorted(arrows.items()))))
         _set(self, "_misfits", MappingProxyType(dict(sorted(misfits.items()))))
         _set(self, "_totals", None)
+        _set(self, "_layout", None)
 
     def dim(self, p, q):
         """Dimension at ``(p, q)``; spots outside the grid are zero."""
@@ -162,6 +165,24 @@ _AXIOMS = {
 _RANK = {step: i for i, step in enumerate(_AXIOMS)}
 
 
+def _assemble(K):
+    """Each degree's spot blocks, from ``K.dims``, and the D_k they block."""
+    degrees, place = [], {}
+    for k in range(K.p_max + K.q_max + 2):
+        spots = [(p, k - p)
+                 for p in range(max(0, k - K.q_max), min(K.p_max, k) + 1)]
+        stops = list(accumulate([K.dims[s] for s in spots]))
+        degrees.append(tuple(zip(spots, [0, *stops], stops)))
+        place.update(zip(spots, range(len(spots))))
+    blocks = [{} for _ in degrees]
+    for (s, t), m in K.stored_maps():
+        if (s, t) not in K._misfits:
+            blocks[s[0] + s[1]][place[t], place[s]] = m
+    sizes = [[b - a for _, a, b in spots] for spots in degrees]
+    return degrees, [linalg.assemble(rows, cols, blk)
+                     for rows, cols, blk in zip(sizes[1:], sizes, blocks)]
+
+
 def validate(K):
     """Check the double complex axioms; empty report iff all hold.
 
@@ -178,25 +199,21 @@ def validate(K):
     Reports list the shape violations in arrow order, then the rest by
     spot, ``dd_horiz`` before ``dd_vert`` before ``anticommute``.
 
-    When the report is empty, the D_k are the total differentials of ``K``;
-    they are kept on ``K`` and :func:`total_differential` returns them.  An
-    invalid ``K`` keeps nothing.
+    When the report is empty, ``K`` keeps the D_k, its total differentials,
+    and their :func:`layout`.  An invalid ``K`` keeps neither.
     """
     out = [Violation(*s, "shape", detail)
            for (s, _), detail in K._misfits.items()]
-    good = {a: m for a, m in K.stored_maps() if a not in K._misfits}
-    totals = [block(K, degree_spots(K, k + 1), degree_spots(K, k), good)
-              for k in range(K.p_max + K.q_max + 1)]
+    degrees, totals = _assemble(K)
     broken = set()
     for k in range(len(totals) - 1):
         if not (totals[k].any() and totals[k + 1].any()):
             continue
         square = linalg.mat_mul(totals[k + 1], totals[k])
         if square.any():
-            src = basis_spots(K, k)
-            tgt = basis_spots(K, k + 2)
-            broken.update((src[j], tgt[i]) for i, row in enumerate(square.rows)
-                          for j in row)
+            broken.update(
+                (s, u) for u, a, b in degrees[k + 2] for s, c, d in degrees[k]
+                if any(c <= j < d for row in square.rows[a:b] for j in row))
     blocks = []
     for s, u in broken:
         step = (u[0] - s[0], u[1] - s[1])
@@ -207,6 +224,7 @@ def validate(K):
     out += [v for _, _, v in sorted(blocks, key=lambda b: b[:2])]
     if not out:
         _set(K, "_totals", tuple(totals))
+        _set(K, "_layout", tuple(degrees))
     return out
 
 
@@ -261,46 +279,34 @@ def conjugate(K):
                          for (s, t), m in K.stored_maps()})
 
 
-def degree_spots(K, k):
-    """Bidegrees of total degree ``k``, ordered by increasing ``p``."""
-    return [(p, k - p)
-            for p in range(max(0, k - K.q_max), min(K.p_max, k) + 1)]
+def _kept(K, slot, k):
+    require_valid(K)
+    kept = getattr(K, slot)
+    if not 0 <= k < len(kept):
+        raise ValueError(f"degree {k} is outside 0 .. {len(kept) - 1}")
+    return kept[k]
+
+
+def layout(K, k):
+    """The spot blocks ``(spot, start, stop)`` of degree ``k`` in increasing
+    ``p``: where each spot's coordinates sit among the columns of D_k and
+    the rows of D_{k-1}.  ``K`` is validated first; ``k`` runs over
+    ``0 .. p_max + q_max + 1``, and the last degree has no spot."""
+    return _kept(K, "_layout", k)
 
 
 def basis_spots(K, k):
     """The spot of each basis vector of degree ``k``, in increasing ``p``."""
-    return [s for s in degree_spots(K, k) for _ in range(K.dim(*s))]
+    return [s for s, a, b in layout(K, k) for _ in range(b - a)]
 
 
 def total_differential(K, k):
     """The total differential from degree ``k`` to ``k + 1``.
 
-    Rows and columns are blocked by :func:`degree_spots` order (increasing
-    ``p``), so the column filtration by ``p`` corresponds to suffixes of the
+    Rows and columns are blocked by :func:`layout` (increasing ``p``), so
+    the column filtration by ``p`` corresponds to suffixes of the
     coordinate blocks.  ``K`` is validated first, and this is the matrix
     that validation checked and kept; ``k`` runs over ``0 .. p_max + q_max``.
     """
-    require_valid(K)
-    if not 0 <= k < len(K._totals):
-        raise ValueError(f"degree {k} is outside 0 .. {len(K._totals) - 1}")
-    return K._totals[k]
+    return _kept(K, "_totals", k)
 
-
-def block(K, rows, cols, arrows=None):
-    """The stored arrows from the spots ``cols`` into the spots ``rows``.
-
-    One matrix, blocked by the two spot lists; an absent arrow is a zero
-    block, and nothing is built for it.  ``arrows`` is the ``(source,
-    target) -> matrix`` table read, ``K``'s own by default.
-    """
-    if arrows is None:
-        arrows = K._arrows
-    index = {t: i for i, t in enumerate(rows)}
-    blocks = {}
-    for j, (a, b) in enumerate(cols):
-        for t in ((a + 1, b), (a, b + 1)):
-            m = arrows.get(((a, b), t))
-            if m is not None and t in index:
-                blocks[index[t], j] = m
-    return linalg.assemble([K.dim(*t) for t in rows],
-                           [K.dim(*s) for s in cols], blocks)

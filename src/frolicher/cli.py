@@ -20,8 +20,9 @@ from .bicomplex import InvalidComplexError, validate
 from .cohomology import (aeppli, arithmetic_genus, bott_chern, de_rham,
                          dolbeault, row_cohomology)
 from .s6 import (GRID, DiamondParams, InadmissibleParamsError,
-                 InferenceMismatchError, check_constraints, enumerate_diamonds,
-                 infer_params, model_multiset, predicted_tables, verify_model)
+                 InferenceMismatchError, check_constraints,
+                 compute_model_tables, enumerate_diamonds, infer_params,
+                 model_mismatches, model_multiset, predicted_tables)
 from .serialize import ParseError
 from .spectral import (degeneration_page, pages_explicit, pages_filtration,
                        stable_page_index)
@@ -144,8 +145,8 @@ def _params(args):
     return DiamondParams(args.h10, args.h02, args.h11, args.alpha, args.beta)
 
 
-def _model_params(args):
-    """The diamond of ``args`` and its model multiset; exit 2 if too large.
+def _model(args):
+    """The diamond of ``args``, its multiset and its model; exit 2 if too big.
 
     The model's total dimension is mult x dots summed over its multiset,
     the size that ``serialize.MAX_SIZE`` bounds in a multiset document; it
@@ -157,7 +158,7 @@ def _model_params(args):
     if size > serialize.MAX_SIZE:
         args.parser.error(f"the model of {d} has total dimension {size}; "
                           f"at most {serialize.MAX_SIZE} is allowed")
-    return d, multiset
+    return d, multiset, synthesize(multiset, GRID)
 
 
 def cmd_s6_check(args):
@@ -181,7 +182,7 @@ def cmd_s6_enumerate(args):
 
 
 def cmd_s6_realize(args):
-    K = synthesize(_model_params(args)[1], GRID)
+    K = _model(args)[2]
     _write(args.output, serialize.complex_to_json(K))
     print(f"wrote {args.output}")
     return 0
@@ -205,8 +206,8 @@ def cmd_s6_infer(args):
 
 
 def cmd_s6_verify(args):
-    d, multiset = _model_params(args)
-    mismatches = verify_model(d)
+    d, multiset, K = _model(args)
+    mismatches = model_mismatches(d, compute_model_tables(K))
     if mismatches:
         for line in mismatches:
             print(line, file=sys.stderr)

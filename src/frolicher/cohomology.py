@@ -18,17 +18,17 @@ ker(out), so the count is exact.  The maps are
   stored, two stacked by :func:`.linalg.vstack`, which shares their rows;
   and each nonzero composite d_h d_v, charged to its target;
 * Aeppli: the same composites, charged to their source, and the map
-  [d_h | d_v] into a spot, charged to it.  That map is the spot's row block
-  of the total differential that validation assembled and kept, a row slice
-  that shares its rows; the columns of the other spots of its degree are
-  zero, so the rank is that of the two arrows side by side.
+  [d_h | d_v] into a spot, charged to it: the spot's rows, placed by
+  :func:`.bicomplex.layout`, of the total differential that validation
+  kept, a row slice that shares its rows.  Its other columns are zero, so
+  the rank is that of the two arrows side by side.
 
 Each map is ranked once, however many spots it is charged to, and no
 matrix is assembled to be ranked: only the composites are new.
 """
 
 from . import linalg
-from .bicomplex import degree_spots, require_valid, total_differential
+from .bicomplex import layout, require_valid, total_differential
 
 THEORIES = ("dolbeault", "row", "bott_chern", "aeppli")
 
@@ -118,17 +118,10 @@ def bott_chern(K):
 def aeppli(K):
     """dim ker(d_h d_v) minus dim(im d_h + im d_v) at each spot."""
     require_valid(K)
-    targets = {t for (_, t), _ in K.stored_maps()}
     out = [(m, [s]) for m, s, _ in _composites(K)]
-    into = []
-    for k in range(1, K.p_max + K.q_max + 1):
-        d = total_differential(K, k - 1)
-        a = 0
-        for t in degree_spots(K, k):
-            b = a + K.dim(*t)
-            if t in targets:
-                into.append((d[a:b], [t]))
-            a = b
+    into = [(d[a:b], [t]) for k in range(K.p_max + K.q_max)
+            for d in [total_differential(K, k)]
+            for t, a, b in layout(K, k + 1)]
     return _table("aeppli", K, out + into)
 
 
@@ -141,4 +134,4 @@ def arithmetic_genus(K):
     the column-0 dims.
     """
     require_valid(K)
-    return sum((-1) ** q * K.dim(0, q) for q in range(K.q_max + 1))
+    return sum((-1) ** q * K.dims[0, q] for q in range(K.q_max + 1))

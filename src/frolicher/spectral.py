@@ -23,26 +23,21 @@ does not matter.
 ``pages_explicit`` solves instead for chains of existential extensions at
 the spot itself: Z_r(p, q) is the space of d_v-closed elements whose
 horizontal images can be corrected r - 1 times, the kernel of one
-staircase of stored arrows, counted from its pivot columns with no kernel
-basis, product or back-substitution.  Page r is the cohomology of page
-r - 1 under d_{r-1} (page 0 is the spots with d_0 = d_v, and Z_0 is every
-element).  On E_{r-1}(s) = Z_{r-1}(s) / B_{r-1}(s) the kernel of d_{r-1}
-is Z_r(s) / B_{r-1}(s), so its rank out of s is dim Z_{r-1}(s) -
-dim Z_r(s), and
+staircase, a selection of rows and columns of the validated D_{p+q},
+counted from its pivot columns with no kernel basis, product or
+back-substitution.  Page r is the cohomology of page r - 1 under d_{r-1}
+(page 0 is the spots with d_0 = d_v, and Z_0 is every element).  On
+E_{r-1}(s) = Z_{r-1}(s) / B_{r-1}(s) the kernel of d_{r-1} is
+Z_r(s) / B_{r-1}(s), so its rank out of s is dim Z_{r-1}(s) - dim Z_r(s),
+and
 
     E_r(t) = E_{r-1}(t) - rank out of t - rank out of the source of t.
 
-d_{r-1} has no rank out of s, so Z_r(s) = Z_{r-1}(s) with nothing solved,
-when page r - 1 is zero at s or at the target (p + r - 1, q - r + 2) of
-d_{r-1}, a spot off the grid counting as zero, or when no stored arrow
-leaves s: then every element a_0 starts the chain (a_0, 0, 0, ..), so
-Z_r(s) is all of s on every page; on page 1, where the staircase is the
-d_v out of s alone, so is Z_1(s) when no d_v leaves s.  Every other (spot,
-page) is one staircase, never all zero, and at most one elimination, and
-B_r is never solved.  The method never forms the total complex and reads
-no pivot's origin row, so the two methods share only the eliminator's
-pivot columns; they must agree on every valid complex, and the tests
-enforce it.
+B_r is never solved, and Z_r only where d_{r-1} can act (with no arrow
+out of s, every a_0 starts the chain (a_0, 0, ..)).  The two methods share
+the validated D_k and the eliminator's pivot columns, not the pivots'
+origin rows, which make the barcode; the tests check that they agree, and
+every explicit entry against systems built from ``K.arrow`` alone.
 ``cohomology.de_rham`` takes its own ranks of the total differentials, so
 the abutment of the stable page to it is a check of the pairing, not a
 restatement of it.
@@ -53,7 +48,7 @@ limit page, and both methods return it as every later page.
 """
 
 from . import linalg
-from .bicomplex import (basis_spots, block, require_valid,
+from .bicomplex import (basis_spots, layout, require_valid,
                         total_differential)
 from .cohomology import Table
 
@@ -121,10 +116,15 @@ def _entry(grid, p, q):
 
 
 def _staircase(K, p, q, r):
-    """The arrows out of the spots (p+i, q-i), i = r-1 down to 0, into the
-    spots just above them, in the same order."""
-    chain = [(p + i, q - i) for i in range(r - 1, -1, -1)]
-    return block(K, [(a, b + 1) for a, b in chain], chain)
+    """S(p, q): the kept D_{p+q} at the rows of (p+i, q-i+1) and the columns
+    of (p+i, q-i), spot blocks for i = r-1 down to 0, each in its order."""
+    rows, cols = ([j for s, a, b in reversed(layout(K, k)) if p <= s[0] < p + r
+                   for j in range(a, b)] for k in (p + q + 1, p + q))
+    index = {j: c for c, j in enumerate(cols)}
+    d = total_differential(K, p + q).rows
+    return linalg.Matrix((len(rows), len(cols)),
+                         [{index[j]: x for j, x in d[i].items() if j in index}
+                          for i in rows])
 
 
 def _cycles(K, p, q, r):
@@ -132,7 +132,7 @@ def _cycles(K, p, q, r):
     with d_v a_0 = 0 and d_h a_{i-1} + d_v a_i = 0: the kernel of S(p, q)
     read at a_0, whose columns come last, so dim Z_r = dim(p, q) - the
     pivot columns among them.  A zero S is not eliminated."""
-    n = K.dim(p, q)
+    n = K.dims[p, q]
     s = _staircase(K, p, q, r)
     if not s.any():
         return n

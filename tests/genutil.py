@@ -136,9 +136,9 @@ def ref_explicit_entry(K, p, q, r):
     + d_h b_1, formed by :func:`ref_mul`, of a kernel basis of the chains
     (b_0, .., b_{r-1}) at (p, q-1), (p-1, q), .., (p-r+1, q+r-2) with d_v
     b_j + d_h b_{j+1} = 0 and d_v b_{r-1} = 0.  Every system is laid out
-    here from dense rows of ``K.arrow``, so nothing runs
-    ``bicomplex.block`` or the package's eliminator, and B is not assumed
-    to lie in Z.
+    here from dense rows of ``K.arrow``, so nothing reads the validated
+    total differentials, their ``bicomplex.layout`` or the package's
+    eliminator, and B is not assumed to lie in Z.
     """
     z = ref_cycles(K, p, q, r)
     arriving = [(p, q - 1)] + [(p - j, q + j - 1) for j in range(1, r)]

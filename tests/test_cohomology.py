@@ -205,7 +205,7 @@ def test_bott_chern_and_aeppli_assemble_nothing(monkeypatch):
         raise AssertionError("assembled a matrix to rank it")
 
     monkeypatch.setattr(linalg, "assemble", refuse)
-    monkeypatch.setattr(bicomplex, "block", refuse)
+    monkeypatch.setattr(bicomplex, "_assemble", refuse)
     monkeypatch.setattr(linalg, "rank", recorded)
     for K, (bc, bc_maps, ae, ae_maps) in zip(cases, expected):
         ranked.clear()

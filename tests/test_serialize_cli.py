@@ -566,6 +566,27 @@ def test_cli_s6_realize_builds_the_model_multiset_once(tmp_path, capsys,
     assert out.read_text() == complex_to_json(realize_model(d))
 
 
+def test_cli_s6_verify_builds_the_model_multiset_once(capsys, monkeypatch):
+    # The multiset that the size check built is the one synthesized and
+    # verified, so model_multiset runs once, and the output is the same.
+    argv = ["s6", "verify", "--h10", "0", "--h02", "1", "--h11", "1",
+            "--alpha", "1", "--beta", "1"]
+    counted = []
+    model_multiset = s6.model_multiset
+
+    def counted_multiset(d):
+        counted.append(d)
+        return model_multiset(d)
+
+    for module in (s6, cli):
+        monkeypatch.setattr(module, "model_multiset", counted_multiset)
+    assert main(argv) == 0
+    assert counted == [DiamondParams(0, 1, 1, 1, 1)]
+    assert capsys.readouterr().out == (
+        "verified h10=0 h02=1 h11=1 alpha=1 beta=1: all tables match "
+        "predictions (14 zigzag summands)\n")
+
+
 def test_cli_s6_realize_inadmissible(capsys):
     argv = ["s6", "realize", "--h10", "0", "--h02", "0", "--h11", "0",
             "--alpha", "0", "--beta", "0", "-o", "/tmp/unused.json"]
@@ -602,9 +623,10 @@ def test_cli_s6_verify(capsys):
 
 
 def test_cli_s6_verify_mismatch_exit_1(capsys, monkeypatch):
-    # Tables of another diamond stand in for the engine's.
+    # Tables of another diamond stand in for the engine's, where s6 verify
+    # computes them.
     other = compute_model_tables(realize_model(DiamondParams(1, 0, 0, 1, 0)))
-    monkeypatch.setattr(s6, "compute_model_tables", lambda K: other)
+    monkeypatch.setattr(cli, "compute_model_tables", lambda K: other)
     argv = ["s6", "verify", "--h10", "0", "--h02", "0", "--h11", "1",
             "--alpha", "0", "--beta", "0"]
     assert main(argv) == 1

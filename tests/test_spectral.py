@@ -3,17 +3,18 @@ import sys
 
 import pytest
 
-from frolicher.bicomplex import (DoubleComplex, InvalidComplexError,
-                                 require_valid)
+from frolicher.bicomplex import (DoubleComplex, InvalidComplexError, layout,
+                                 require_valid, total_differential)
 from frolicher.cohomology import Table, de_rham, dolbeault
 from frolicher.s6 import (DiamondParams, enumerate_diamonds,
                           predicted_tables, realize_model)
-from frolicher.spectral import (_cycles, degeneration_page,
+from frolicher.spectral import (_cycles, _staircase, degeneration_page,
                                 euler_char_of_page, pages_explicit,
                                 pages_filtration, stable_page_index)
 from frolicher.zigzag import canonicalize_shape, enumerate_shapes, realize_shape
-from genutil import (change_basis, random_complex, ref_cycles,
-                     ref_explicit_entry, ref_rank, shrinks, spots)
+from genutil import (_ref_system, change_basis, random_complex,
+                     random_complex_suite, ref_cycles, ref_explicit_entry,
+                     ref_rank, shrinks, spots)
 
 from frolicher import linalg
 
@@ -221,6 +222,34 @@ def test_explicit_entries_match_the_kernel_definition():
                         == ref_rank(ref_cycles(K, p, q, r))), (p, q, r)
 
 
+def test_staircases_are_slices_of_the_kept_total_differential():
+    # layout(K, k) tiles the columns of D_k and the rows of D_{k-1} with the
+    # spots of degree k in increasing p, and S(p, q) is D_{p+q} read at the
+    # spot blocks of its chain, i = r-1 down to 0, each in its own order:
+    # the system laid out from dense rows of K.arrow, at every spot and page.
+    # The pivot count does not depend on that order, but the cost of the
+    # elimination does, so the order is pinned here.
+    for K in random_complex_suite(2017, 40):
+        n = K.p_max + K.q_max
+        for k in range(n + 2):
+            blocks = layout(K, k)
+            assert [s for s, _, _ in blocks] == [
+                t for t in spots(K) if sum(t) == k]
+            stops = [b for _, _, b in blocks]
+            assert [a for _, a, _ in blocks] == [0, *stops][:len(stops)]
+            assert all(b - a == K.dims[s] for s, a, b in blocks)
+            size = stops[-1] if stops else 0
+            if k <= n:
+                assert total_differential(K, k).shape[1] == size
+            if k >= 1:
+                assert total_differential(K, k - 1).shape[0] == size
+        for r in range(1, stable_page_index(K) + 2):
+            for p, q in spots(K):
+                chain = [(p + i, q - i) for i in range(r - 1, -1, -1)]
+                assert _staircase(K, p, q, r) == _ref_system(
+                    K, [(a, b + 1) for a, b in chain], chain), (p, q, r)
+
+
 def test_explicit_pages_only_rank(monkeypatch):
     # Each solve counts the pivot columns of one staircase, one elimination
     # at most: no kernel basis, product or side-by-side stack is formed.
@@ -248,21 +277,21 @@ def test_explicit_entries_assemble_one_staircase(monkeypatch):
     # solved.  The short shapes solve few entries, so the bound-2 models
     # join them.
     from frolicher import spectral
-    solve, block = spectral._cycles, spectral.block
+    solve, lay_out = spectral._cycles, spectral._staircase
     solved, callers = [], []
 
     def counted_solve(K, p, q, r):
         solved.append((id(K), p, q, r))
         return solve(K, p, q, r)
 
-    def counted_block(*args):
+    def counted_staircase(*args):
         callers.append(sys._getframe(1).f_code.co_name)
-        staircase = block(*args)
+        staircase = lay_out(*args)
         assert staircase.any(), "laid out an all-zero staircase"
         return staircase
 
     monkeypatch.setattr(spectral, "_cycles", counted_solve)
-    monkeypatch.setattr(spectral, "block", counted_block)
+    monkeypatch.setattr(spectral, "_staircase", counted_staircase)
     complexes = short_shapes_and_random_complexes(19) + [
         realize_model(d) for d in enumerate_diamonds(2)]
     for K in complexes:
@@ -271,7 +300,7 @@ def test_explicit_entries_assemble_one_staircase(monkeypatch):
     assert len(solved) > 300
     assert len(set(solved)) == len(solved)
     assert len(callers) == len(solved)
-    assert set(callers) == {"_staircase"}
+    assert set(callers) == {"_cycles"}
 
 
 def test_explicit_pages_read_no_pivot_origin(monkeypatch):
