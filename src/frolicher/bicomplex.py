@@ -10,17 +10,16 @@ no auxiliary signs.
 
 A complex stores both differentials in one arrow table that maps
 ``(source, target)`` to a matrix; an arrow missing from the table is the
-zero map.  Validation, duals, conjugates, direct sums, the total
+zero map.  The axiom check, duals, conjugates, direct sums, the total
 differential and serialization walk the stored arrows, so no zero matrix is
 built for an absent map.
 
-Validation reports first the misfits that the constructor noted, then
-checks d^2 = 0 on the total complex: one total differential D_k per degree,
-assembled from the arrows that fit, and one product D_{k+1} D_k per degree,
-whose nonzero blocks name the broken axioms.  A complex is unchecked or
-valid: only a validation with an empty report keeps its matrices and the
-:func:`layout` of each degree, where each spot's coordinates sit in them,
-and hands them to the pages and to the cohomology: each is made once.
+A complex is checked once, as it is built, and keeps the report: first
+the misfits that the constructor noted, then the broken d^2 = 0 axioms, from
+one total differential D_k per degree, assembled from the arrows that fit,
+and one product D_{k+1} D_k per degree.  A valid complex also keeps the D_k
+and the :func:`layout` of each degree, and hands them to the pages and to
+the cohomology: each is made once.
 
 Values are immutable once built; every operation here is a pure function.
 """
@@ -30,7 +29,7 @@ from types import MappingProxyType
 
 from . import linalg
 
-# After the constructor, only validate writes: _totals and _layout, if valid.
+# Only the constructor writes.
 _set = object.__setattr__
 
 
@@ -53,7 +52,7 @@ class InvalidComplexError(ValueError):
 
 
 class DoubleComplex(linalg._Immutable):
-    """Candidate double complex; run :func:`validate` to check the axioms.
+    """A double complex, checked once as it is built.
 
     ``dims`` is any iterable of rows ``dims[p]`` of ints, stored as a
     :class:`.linalg.Grid`; ``d_horiz`` / ``d_vert`` map ``(p, q)`` to the
@@ -62,13 +61,15 @@ class DoubleComplex(linalg._Immutable):
     constructor files them, as immutable matrices, in a read-only arrow
     table keyed by ``(source, target)`` and sorted, and decides each fit as
     it files it: an arrow fits when both ends are on the grid and its matrix
-    is target-dim x source-dim.  A misfit is stored all the same, so that
-    validation can report it, and its detail is noted, in arrow order, in a
-    second read-only table.  A zero matrix that fits (every map touching a
-    zero-dimensional spot is one) is the absent arrow and is not stored.
+    is target-dim x source-dim.  A misfit is stored all the same, and its
+    detail is noted in arrow order.  A zero matrix that fits (every map
+    touching a zero-dimensional spot is one) is the absent arrow and is not
+    stored.  The constructor ends by checking the axioms once: the complex
+    keeps the report, whose first entries are the misfit notes, and, when
+    it is empty, the total differentials and their :func:`layout`.
     """
 
-    __slots__ = ("p_max", "q_max", "dims", "_arrows", "_misfits", "_totals",
+    __slots__ = ("p_max", "q_max", "dims", "_arrows", "_report", "_totals",
                  "_layout")
 
     def __init__(self, p_max, q_max, dims, d_horiz=None, d_vert=None):
@@ -98,9 +99,10 @@ class DoubleComplex(linalg._Immutable):
                     continue
                 arrows[s, t] = m
         _set(self, "_arrows", MappingProxyType(dict(sorted(arrows.items()))))
-        _set(self, "_misfits", MappingProxyType(dict(sorted(misfits.items()))))
-        _set(self, "_totals", None)
-        _set(self, "_layout", None)
+        report, degrees, totals = _check(self, dict(sorted(misfits.items())))
+        _set(self, "_report", tuple(report))
+        _set(self, "_totals", None if report else tuple(totals))
+        _set(self, "_layout", None if report else tuple(degrees))
 
     def dim(self, p, q):
         """Dimension at ``(p, q)``; spots outside the grid are zero."""
@@ -165,7 +167,7 @@ _AXIOMS = {
 _RANK = {step: i for i, step in enumerate(_AXIOMS)}
 
 
-def _assemble(K):
+def _assemble(K, misfits):
     """Each degree's spot blocks, from ``K.dims``, and the D_k they block."""
     degrees, place = [], {}
     for k in range(K.p_max + K.q_max + 2):
@@ -176,35 +178,25 @@ def _assemble(K):
         place.update(zip(spots, range(len(spots))))
     blocks = [{} for _ in degrees]
     for (s, t), m in K.stored_maps():
-        if (s, t) not in K._misfits:
+        if (s, t) not in misfits:
             blocks[s[0] + s[1]][place[t], place[s]] = m
     sizes = [[b - a for _, a, b in spots] for spots in degrees]
     return degrees, [linalg.assemble(rows, cols, blk)
                      for rows, cols, blk in zip(sizes[1:], sizes, blocks)]
 
 
-def validate(K):
-    """Check the double complex axioms; empty report iff all hold.
+def _check(K, misfits):
+    """The axiom report of ``K``, the spot blocks of each degree and the D_k.
 
-    Reported axioms: ``shape`` (stored matrix does not match the dims grid,
-    or sits outside the grid), ``dd_horiz`` / ``dd_vert`` (a differential
-    composed with itself is nonzero), ``anticommute`` (d_h d_v + d_v d_h is
-    nonzero).  The shape violations are the misfits that the constructor
-    noted, and no fit is decided here.  The arrows that fit are assembled
-    into one total differential D_k per degree, and d^2 = 0 is one product
-    D_{k+1} D_k per degree; a degree whose factors have no stored entry is
-    not multiplied.  A nonzero block of the product from spot s to spot u
-    names its axiom by u - s and is reported at s, unless a unit-step path
-    s -> t -> u runs through a misfit: there the composite is meaningless.
-    Reports list the shape violations in arrow order, then the rest by
-    spot, ``dd_horiz`` before ``dd_vert`` before ``anticommute``.
-
-    When the report is empty, ``K`` keeps the D_k, its total differentials,
-    and their :func:`layout`.  An invalid ``K`` keeps neither.
+    ``misfits`` maps each misfit arrow, in arrow order, to the constructor's
+    note; no fit is decided here.  d^2 = 0 is one product D_{k+1} D_k per
+    degree whose factors have a stored entry.  A nonzero block of it from
+    spot s to spot u names its axiom by u - s and is reported at s, unless a
+    unit-step path s -> t -> u runs through a misfit, where the composite is
+    meaningless.
     """
-    out = [Violation(*s, "shape", detail)
-           for (s, _), detail in K._misfits.items()]
-    degrees, totals = _assemble(K)
+    out = [Violation(*s, "shape", note) for (s, _), note in misfits.items()]
+    degrees, totals = _assemble(K, misfits)
     broken = set()
     for k in range(len(totals) - 1):
         if not (totals[k].any() and totals[k + 1].any()):
@@ -219,25 +211,29 @@ def validate(K):
         step = (u[0] - s[0], u[1] - s[1])
         axiom, detail, steps = _AXIOMS[step]
         middles = [(s[0] + a, s[1] + b) for a, b in steps]
-        if not any(a in K._misfits for t in middles for a in ((s, t), (t, u))):
+        if not any(a in misfits for t in middles for a in ((s, t), (t, u))):
             blocks.append((s, _RANK[step], Violation(*s, axiom, detail)))
     out += [v for _, _, v in sorted(blocks, key=lambda b: b[:2])]
-    if not out:
-        _set(K, "_totals", tuple(totals))
-        _set(K, "_layout", tuple(degrees))
-    return out
+    return out, degrees, totals
+
+
+def validate(K):
+    """The report of the double complex axioms; empty iff all hold.
+
+    Reported axioms: ``shape`` (stored matrix does not match the dims grid,
+    or sits outside the grid), ``dd_horiz`` / ``dd_vert`` (a differential
+    composed with itself is nonzero), ``anticommute`` (d_h d_v + d_v d_h is
+    nonzero).  Reports list the shape violations in arrow order, then the
+    rest by spot, ``dd_horiz`` before ``dd_vert`` before ``anticommute``.
+    This is a fresh list of the report that ``K`` kept when it was built.
+    """
+    return list(K._report)
 
 
 def require_valid(K):
-    """Raise :class:`InvalidComplexError` unless ``K`` passes validation.
-
-    Writes nothing: a valid ``K`` keeps its totals and is validated once;
-    an invalid one is validated again on each call, on the error path.
-    """
-    if K._totals is None:
-        report = validate(K)
-        if report:
-            raise InvalidComplexError(report)
+    """Raise :class:`InvalidComplexError` on a non-empty kept report."""
+    if K._report:
+        raise InvalidComplexError(K._report)
 
 
 def direct_sum(K1, K2):
@@ -290,8 +286,9 @@ def _kept(K, slot, k):
 def layout(K, k):
     """The spot blocks ``(spot, start, stop)`` of degree ``k`` in increasing
     ``p``: where each spot's coordinates sit among the columns of D_k and
-    the rows of D_{k-1}.  ``K`` is validated first; ``k`` runs over
-    ``0 .. p_max + q_max + 1``, and the last degree has no spot."""
+    the rows of D_{k-1}.  An invalid ``K`` raises
+    :class:`InvalidComplexError`; ``k`` runs over ``0 .. p_max + q_max + 1``,
+    and the last degree has no spot."""
     return _kept(K, "_layout", k)
 
 
@@ -305,8 +302,9 @@ def total_differential(K, k):
 
     Rows and columns are blocked by :func:`layout` (increasing ``p``), so
     the column filtration by ``p`` corresponds to suffixes of the
-    coordinate blocks.  ``K`` is validated first, and this is the matrix
-    that validation checked and kept; ``k`` runs over ``0 .. p_max + q_max``.
+    coordinate blocks.  An invalid ``K`` raises :class:`InvalidComplexError`,
+    and otherwise this is the matrix that the constructor's check kept;
+    ``k`` runs over ``0 .. p_max + q_max``.
     """
     return _kept(K, "_totals", k)
 

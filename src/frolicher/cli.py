@@ -3,12 +3,13 @@
 Exit codes: 0 success, 1 domain error (validation failure, inadmissible
 parameters, inference or verification mismatch) with the report on stderr,
 2 I/O, parse or argument error.  Numeric arguments have upper bounds, so
-that no argument can ask for an unbounded allocation or run, and no error
-or report repeats an unbounded number.  The five ``s6`` parameters are at
-most ``serialize.MAX_SIZE``: a model's total dimension is 2 + 8 (h10 + h02 +
-h11 + beta) + 16 alpha, so a larger parameter has no model that ``realize``
-or ``verify`` would build.  Tables render with p increasing left to right
-and q increasing bottom to top.
+that no argument can ask for an unbounded allocation, and no error or
+report repeats an unbounded number.  A legal document is bounded in size,
+not in time: see the ``pages --method`` help.  The five ``s6`` parameters
+are at most ``serialize.MAX_SIZE``: a model's total dimension is
+2 + 8 (h10 + h02 + h11 + beta) + 16 alpha, so a larger parameter has no
+model that ``realize`` or ``verify`` would build.  Tables render with p
+increasing left to right and q increasing bottom to top.
 """
 
 import argparse

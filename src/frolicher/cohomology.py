@@ -19,7 +19,7 @@ ker(out), so the count is exact.  The maps are
   and each nonzero composite d_h d_v, charged to its target;
 * Aeppli: the same composites, charged to their source, and the map
   [d_h | d_v] into a spot, charged to it: the spot's rows, placed by
-  :func:`.bicomplex.layout`, of the total differential that validation
+  :func:`.bicomplex.layout`, of the total differential that the check
   kept, a row slice that shares its rows.  Its other columns are zero, so
   the rank is that of the two arrows side by side.
 

@@ -1,16 +1,21 @@
 import random
+import sys
 
 import pytest
 
-from frolicher import linalg
+from frolicher import bicomplex, linalg
 from frolicher.bicomplex import (DoubleComplex, InvalidComplexError,
-                                 Violation, basis_spots, conjugate,
-                                 direct_sum, dual, empty_complex, layout,
-                                 require_valid, total_differential, validate)
-from frolicher.cohomology import de_rham, dolbeault, row_cohomology
+                                 Violation, _from_arrows, basis_spots,
+                                 conjugate, direct_sum, dual, empty_complex,
+                                 layout, require_valid, total_differential,
+                                 validate)
+from frolicher.cohomology import (aeppli, arithmetic_genus, bott_chern,
+                                  de_rham, dolbeault, row_cohomology)
 from frolicher.s6 import (DiamondParams, check_constraints,
                           enumerate_diamonds, verify_model)
-from frolicher.spectral import pages_filtration, stable_page_index
+from frolicher.serialize import complex_to_json
+from frolicher.spectral import (degeneration_page, pages_explicit,
+                                pages_filtration, stable_page_index)
 from frolicher.zigzag import canonicalize_shape, realize_shape
 from genutil import dh, dv, random_complex, ref_validate, square_complex
 
@@ -84,23 +89,28 @@ def test_dd_vert_is_reported_beside_a_wrong_shape_horizontal_arrow():
 
 def test_the_constructor_notes_each_misfit_in_arrow_order():
     # A misfit is stored, a zero one too, and its detail is noted once, as
-    # the complex files it; validation reports the notes first.  Every d^2
+    # the complex files it; the report lists the notes first.  Every d^2
     # path here runs through a misfit, so nothing else is reported.
     K = DoubleComplex(1, 1, [[1, 1], [1, 0]],
                       d_horiz={(1, 0): [[0]], (0, 0): [[1, 1]]},
                       d_vert={(0, 1): ONE, (0, 0): ONE})
-    assert dict(K._misfits) == {
-        ((0, 0), (1, 0)): "d_horiz is 1x2, expected 1x1",
-        ((0, 1), (0, 2)): "d_vert leaves the grid",
-        ((1, 0), (2, 0)): "d_horiz leaves the grid"}
-    assert list(K._misfits) == sorted(K._misfits)
-    assert set(K._misfits) < {a for a, _ in K.stored_maps()}
-    with pytest.raises(TypeError):
-        K._misfits[(0, 0), (0, 1)] = "fits"
-    assert validate(K) == [Violation(*s, "shape", detail)
-                           for (s, _), detail in K._misfits.items()]
-    assert validate(K) == ref_validate(K)
-    assert dict(dot(1, 1)._misfits) == {}
+    misfits = {((0, 0), (1, 0)): "d_horiz is 1x2, expected 1x1",
+               ((0, 1), (0, 2)): "d_vert leaves the grid",
+               ((1, 0), (2, 0)): "d_horiz leaves the grid"}
+    assert list(misfits) == sorted(misfits)
+    assert set(misfits) < {a for a, _ in K.stored_maps()}
+    expected = [Violation(*s, "shape", detail)
+                for (s, _), detail in misfits.items()]
+    report = validate(K)
+    assert [v for v in report if v.axiom == "shape"] == report == expected
+    assert report == ref_validate(K)
+    # The report is kept: a caller's list is a copy, and changing it
+    # changes no later report.
+    report.append(Violation(0, 0, "dd_vert", "added"))
+    report[0] = Violation(0, 0, "shape", "changed")
+    assert validate(K) == expected
+    assert validate(K) is not validate(K)
+    assert validate(dot(1, 1)) == []
 
 
 def test_validate_reads_dims_only_to_lay_out_the_totals(monkeypatch):
@@ -137,10 +147,15 @@ def test_validate_multiplies_once_per_degree(monkeypatch):
     for K in complexes:
         maps = [total_differential(K, k) for k in range(K.p_max + K.q_max)]
         calls.clear()
-        assert validate(K) == []
-        # one product D_{k+1} D_k per degree k where both have an entry
+        built = _from_arrows(K.p_max, K.q_max, K.dims, dict(K.stored_maps()))
+        # one product D_{k+1} D_k per degree k where both have an entry,
+        # made as the complex is built
         assert calls == [(b.shape, a.shape) for a, b in zip(maps, maps[1:])
                          if a.any() and b.any()]
+        calls.clear()
+        assert validate(built) == []
+        require_valid(built)
+        assert calls == []
 
 
 def test_validated_total_differentials_are_reused():
@@ -160,9 +175,11 @@ def test_validated_total_differentials_are_reused():
         total_differential(bad, 0)
 
 
-def test_an_invalid_complex_keeps_nothing():
+def test_an_invalid_complex_keeps_nothing(monkeypatch):
     # Every arrow has the right shape, but d_v squares to a nonzero map.
+    checks = counted_checks(monkeypatch)
     K = DoubleComplex(0, 2, [[1, 1, 1]], d_vert={(0, 0): [[1]], (0, 1): [[1]]})
+    assert checks == [K]
     assert [v.axiom for v in validate(K)] == ["dd_vert"]
     assert K._totals is None and K._layout is None
     for _ in range(2):
@@ -173,6 +190,7 @@ def test_an_invalid_complex_keeps_nothing():
         with pytest.raises(InvalidComplexError, match="dd_vert"):
             layout(K, 0)
     assert K._totals is None and K._layout is None
+    assert checks == [K]
 
 
 def test_total_differential_degrees_are_bounded():
@@ -184,25 +202,69 @@ def test_total_differential_degrees_are_bounded():
             total_differential(K, k)
 
 
+def counted_checks(monkeypatch):
+    """The complexes that the axiom checker is called on, from now on; each
+    call must come from the constructor."""
+    checks = []
+    check, init = bicomplex._check, DoubleComplex.__init__.__code__
+
+    def counted(K, misfits):
+        assert sys._getframe(1).f_code is init
+        checks.append(K)
+        return check(K, misfits)
+
+    monkeypatch.setattr(bicomplex, "_check", counted)
+    return checks
+
+
 def test_a_valid_complex_is_validated_once(monkeypatch):
-    from frolicher import bicomplex
+    checks = counted_checks(monkeypatch)
+    built = []
+    init = DoubleComplex.__init__
+
+    def counted_init(K, *args, **kwargs):
+        built.append(K)
+        init(K, *args, **kwargs)
+
+    monkeypatch.setattr(DoubleComplex, "__init__", counted_init)
     K = random_complex(random.Random(51), 3, 2)
-    calls = []
-    check = bicomplex.validate
-
-    def counted(K):
-        calls.append(K)
-        return check(K)
-
-    monkeypatch.setattr(bicomplex, "validate", counted)
+    assert checks == built and built[-1] is K
+    assert len(set(map(id, checks))) == len(checks) > 1
+    checks.clear()
     first = total_differential(K, 1)
-    assert len(calls) == 1
     for _ in range(3):
         require_valid(K)
         assert total_differential(K, 1) is first
     de_rham(K)
     pages_filtration(K, stable_page_index(K))
-    assert calls == [K]
+    assert checks == []
+
+
+def test_nothing_is_written_after_construction():
+    # Every slot of a complex, valid or invalid, is the same object after
+    # every public operation as it was when the constructor returned.
+    valid = random_complex(random.Random(52), 2, 3)
+    invalid = DoubleComplex(1, 2, [[1, 1, 1], [1, 1, 0]],
+                            d_horiz={(0, 2): ONE},
+                            d_vert={(0, 0): ONE, (0, 1): ONE})
+    names = [n for cls in DoubleComplex.__mro__
+             for n in getattr(cls, "__slots__", ())]
+    kept = {id(K): [getattr(K, n) for n in names] for K in (valid, invalid)}
+    operations = [
+        validate, require_valid, degeneration_page,
+        lambda K: pages_filtration(K, 3), lambda K: pages_explicit(K, 3),
+        dolbeault, row_cohomology, de_rham, bott_chern, aeppli,
+        arithmetic_genus, lambda K: layout(K, 1),
+        lambda K: total_differential(K, 1), lambda K: basis_spots(K, 1),
+        dual, conjugate, lambda K: direct_sum(K, K), complex_to_json]
+    for K in (valid, invalid):
+        for op in operations:
+            try:
+                op(K)
+            except InvalidComplexError:
+                assert K is invalid
+            assert all(getattr(K, n) is x for n, x in zip(names, kept[id(K)]))
+    assert [v.axiom for v in validate(invalid)] == ["shape", "dd_vert"]
 
 
 def test_constructor_rejects_bad_grids():
