@@ -73,15 +73,22 @@ def eliminate(rows):
     mapping with a positive entry at its pivot and zero in every column
     left of it.  ``origins[i]`` is the position in ``rows`` of the input row
     that created ``pivots[i]``.  Pivots and origins depend on ``rows``
-    alone; the echelon rows also depend on the order of ``rows``.
+    alone; the echelon rows also depend on the order of ``rows``.  A row
+    with one entry enters as ``{col: 1}``, with no gcd: its primitive form
+    up to sign, and as clearing is linear and each new pivot row's sign is
+    normalised, the output is the same as from its primitive form.
     """
     pivot_rows = {}
     origin = {}
     for index, raw in enumerate(rows):
         if not raw:
             continue
-        row = _integer_row(raw)
-        col = min(row)
+        if len(raw) == 1:
+            (col,) = raw
+            row = {col: 1}
+        else:
+            row = _integer_row(raw)
+            col = min(row)
         while col in pivot_rows:
             row = _clear(row, col, pivot_rows[col])
             if not row:

@@ -31,12 +31,14 @@ from . import linalg
 from .bicomplex import layout, require_valid, total_differential
 
 THEORIES = ("dolbeault", "row", "bott_chern", "aeppli")
+_set = object.__setattr__
 
 
 class Table(linalg.Record):
     """A frozen grid of dimensions, indexed as ``grid[p, q]``: page ``r``
     of the spectral sequence, or the table of one of the ``THEORIES``.
-    The label that does not apply is ``None``."""
+    The label that does not apply is ``None``.  A :class:`.linalg.Grid` is
+    kept as given, so pages may share one; other rows are checked into one."""
     __slots__ = ("grid", "r", "theory")
 
     def __init__(self, grid, r=None, theory=None):
@@ -44,7 +46,9 @@ class Table(linalg.Record):
             raise ValueError(f"unknown theory {theory!r}")
         if not isinstance(grid, linalg.Grid):
             grid = linalg.Grid(grid)
-        super().__init__(grid, r, theory)
+        _set(self, "grid", grid)
+        _set(self, "r", r)
+        _set(self, "theory", theory)
 
 
 class BettiVector(linalg.Record):
@@ -67,7 +71,7 @@ def _table(theory, K, maps):
             r = linalg.rank(m)
             for p, q in spots:
                 g[p][q] -= r
-    return Table(g, theory=theory)
+    return Table(linalg.Grid._of(g), theory=theory)
 
 
 def _composites(K):

@@ -4,6 +4,8 @@ A :class:`Matrix` is an immutable shape plus one read-only ``{column:
 nonzero}`` mapping per row, of Python ints and ``fractions.Fraction``;
 products, assembly, stacking, transposes and row slices visit stored entries
 only.  A :class:`Grid` is an immutable rectangle of ints: dims and tables.
+Only the package calls ``Matrix._of`` and ``Grid._of``, which freeze what
+the engine built with no check.
 One fraction-free eliminator (:func:`._kernels.eliminate`) reads the
 stored rows, so results are exact and nothing overflows.  It reduces
 forward only, and the pivots of that echelon form are those of every
@@ -110,8 +112,9 @@ class Matrix(_Immutable):
 class Grid(_Immutable):
     """An immutable rectangle of ints, indexed as ``grid[p, q]``.
 
-    Built from any iterable of rows of integers; iterating it yields the
-    rows ``grid[p, :]`` as tuples.
+    Built from any iterable of rows of integers, every cell and width
+    checked; iterating it yields the rows ``grid[p, :]`` as tuples.
+    :meth:`_of`, for the engine's own counts only, checks nothing.
     """
 
     __slots__ = ("shape", "_cells")
@@ -123,6 +126,14 @@ class Grid(_Immutable):
             raise ValueError("grid rows differ in length")
         _set(self, "_cells", cells)
         _set(self, "shape", (len(cells), widths.pop() if widths else 0))
+
+    @classmethod
+    def _of(cls, cells):
+        """The grid of ``cells``, equal-length lists of ints, unchecked."""
+        g = object.__new__(cls)
+        _set(g, "_cells", tuple([tuple(row) for row in cells]))
+        _set(g, "shape", (len(cells), len(cells[0])))
+        return g
 
     def tolist(self):
         return [list(row) for row in self._cells]

@@ -44,7 +44,8 @@ restatement of it.
 
 The page at index ``min(p_max, q_max) + 2`` is stable: on a bounded grid all
 later differentials have zero source or target, so it stands in for the
-limit page, and both methods return it as every later page.
+limit page, and both methods return it as every later page.  A page that no
+differential changes shares its predecessor's grid (page 0's is the dims).
 """
 
 from . import linalg
@@ -99,14 +100,16 @@ def pages_filtration(K, r_max):
         length = birth[0] - death[0]
         if length < last:
             dying[length] += [birth, death]
-    grid = K.dims.tolist()
+    grid = K.dims
     tables = []
     for r in range(1, last + 1):
-        for p, q in dying[r - 1]:
-            grid[p][q] -= 1
+        if dying[r - 1]:
+            g = grid.tolist()
+            for p, q in dying[r - 1]:
+                g[p][q] -= 1
+            grid = linalg.Grid._of(g)
         tables.append(Table(grid, r=r))
-    stable = tables[-1].grid
-    return tables + [Table(stable, r=r) for r in range(last + 1, r_max + 1)]
+    return tables + [Table(grid, r=r) for r in range(last + 1, r_max + 1)]
 
 
 def _entry(grid, p, q):
@@ -160,14 +163,17 @@ def pages_explicit(K, r_max):
     prev = K.dims
     last = min(r_max, stable_page_index(K))
     for r in range(1, last + 1):
-        g = prev.tolist()
+        g = None
         for p, q in d_v_sources if r == 1 else sources:
             if prev[p, q] and _entry(prev, p + r - 1, q - r + 2):
                 z = _cycles(K, p, q, r)
                 rank, cycles[p][q] = cycles[p][q] - z, z
-                g[p][q] -= rank
-                g[p + r - 1][q - r + 2] -= rank
-        prev = linalg.Grid(g)
+                if rank:
+                    g = g or prev.tolist()
+                    g[p][q] -= rank
+                    g[p + r - 1][q - r + 2] -= rank
+        if g:
+            prev = linalg.Grid._of(g)
         tables.append(Table(prev, r=r))
     return tables + [Table(prev, r=r) for r in range(last + 1, r_max + 1)]
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from frolicher import linalg
+from frolicher import _kernels, linalg
 from frolicher import s6
 from frolicher.bicomplex import total_differential
 from genutil import (random_fraction_matrix, random_int_matrix,
@@ -130,6 +130,47 @@ def test_rank_profile_matches_prefix_ranks_on_s6_boundaries():
         for k in range(K.p_max + K.q_max):
             m = total_differential(K, k).T[::-1]
             assert linalg.rank(m, profile=True) == ref_profile(m)
+
+
+def rows_with_units(rng, r, c):
+    """Stored rows of an r x c matrix, about a third of them with one
+    entry, int or Fraction, positive or negative."""
+    rows = []
+    for _ in range(r):
+        kind = rng.random()
+        if kind < 0.35:
+            x = rng.choice((rng.randint(1, 5), Fraction(rng.randint(1, 5), 3)))
+            rows.append({rng.randrange(c): rng.choice((1, -1)) * x})
+        elif kind < 0.45:
+            rows.append({})
+        else:
+            make = random_fraction_matrix if kind < 0.6 else random_int_matrix
+            rows.append(dict(make(rng, 1, c).rows[0]))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eliminate_ignores_the_scale_of_each_row(seed):
+    """One-entry rows enter as {col: 1}; scaling any row by a nonzero int
+    or Fraction, negative ones included, changes no pivot, echelon row or
+    origin, also where a one-entry row meets an existing pivot."""
+    rng = random.Random(seed + 500)
+    scales = (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4))
+    hits = 0
+    for _ in range(60):
+        r, c = rng.randint(1, 9), rng.randint(1, 6)
+        rows = rows_with_units(rng, r, c)
+        out = _kernels.eliminate(rows)
+        for _ in range(3):
+            scaled = [{j: f * x for j, x in row.items()}
+                      for row in rows for f in [rng.choice(scales)]]
+            assert _kernels.eliminate(scaled) == out
+        m = linalg.Matrix((r, c), rows)
+        assert linalg.rank(m, profile=True) == ref_profile(m)
+        hits += sum(len(row) == 1
+                    and min(row) in _kernels.eliminate(rows[:i])[0]
+                    for i, row in enumerate(rows))
+    assert hits >= 20
 
 
 def test_big_entries_use_object_path():

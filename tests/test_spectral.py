@@ -5,7 +5,8 @@ import pytest
 
 from frolicher.bicomplex import (DoubleComplex, InvalidComplexError, layout,
                                  total_differential)
-from frolicher.cohomology import Table, de_rham, dolbeault
+from frolicher.cohomology import (Table, aeppli, bott_chern, de_rham,
+                                  dolbeault, row_cohomology)
 from frolicher.s6 import (DiamondParams, enumerate_diamonds,
                           predicted_tables, realize_model)
 from frolicher.spectral import (_cycles, _staircase, degeneration_page,
@@ -434,3 +435,41 @@ def test_page_table_entry_and_eq():
     assert t.grid[1, 0] == 3
     assert t == Table(linalg.Grid(g), r=2)
     assert t != Table(g, r=3)
+
+
+def test_pages_from_e3_on_share_one_grid():
+    # The s6 models degenerate at E3, so no differential changes a later
+    # page, and every method returns E3's grid object for all of them.
+    for d in enumerate_diamonds(2):
+        K = realize_model(d)
+        r = stable_page_index(K) + 2
+        for method in (pages_filtration, pages_explicit):
+            pages = method(K, r)
+            assert all(t.grid is pages[2].grid for t in pages[3:]), d
+
+
+def test_a_page_shares_its_grid_exactly_when_nothing_changed():
+    # A page that a differential changes loses a count somewhere, so equal
+    # consecutive grids (page 0 being the dims) must be one object, and
+    # unequal ones two.
+    for K in random_complex_suite(2017, 200):
+        r = stable_page_index(K) + 1
+        for method in (pages_filtration, pages_explicit):
+            grids = [K.dims] + [t.grid for t in method(K, r)]
+            for a, b in zip(grids, grids[1:]):
+                assert (b is a) == (b == a)
+
+
+def test_every_table_is_a_checked_rectangle_of_ints():
+    # The engine freezes its counts with no re-check; the public
+    # constructor, which checks every cell, must rebuild the same grid.
+    for K in random_complex_suite(2017, 200):
+        r = stable_page_index(K) + 1
+        tables = (pages_filtration(K, r) + pages_explicit(K, r)
+                  + [theory(K) for theory in (dolbeault, row_cohomology,
+                                              bott_chern, aeppli)])
+        for t in tables:
+            g = t.grid
+            assert all(type(x) is int for row in g for x in row)
+            rebuilt = linalg.Grid(g.tolist())
+            assert g == rebuilt and g.shape == rebuilt.shape
