@@ -23,8 +23,8 @@ the pivot; that does depend on the order.  The pivot a row creates, if any,
 is the one pivot column of the rows up to it that the rows before it lack,
 so the origins too are fixed by the ordered input alone, whatever the
 reduction steps were.  ``linalg.rank`` returns the (origin, pivot) pairs as
-the rank profile; fed boundary columns in filtration order, with row
-indices reversed, they are the persistence pairs (see :mod:`.spectral`).
+the rank profile; fed the rows of a filtered boundary matrix bottom-up,
+they are the persistence pairs (see :mod:`.spectral`).
 """
 
 from math import gcd, lcm

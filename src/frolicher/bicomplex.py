@@ -168,11 +168,11 @@ _RANK = {step: i for i, step in enumerate(_AXIOMS)}
 
 
 def _assemble(K, misfits):
-    """Each degree's spot blocks, from ``K.dims``, and the D_k they block."""
+    """Each degree's spot blocks (p descending) and the D_k they block."""
     degrees, place = [], {}
     for k in range(K.p_max + K.q_max + 2):
         spots = [(p, k - p)
-                 for p in range(max(0, k - K.q_max), min(K.p_max, k) + 1)]
+                 for p in range(min(K.p_max, k), max(0, k - K.q_max) - 1, -1)]
         stops = list(accumulate([K.dims[s] for s in spots]))
         degrees.append(tuple(zip(spots, [0, *stops], stops)))
         place.update(zip(spots, range(len(spots))))
@@ -276,33 +276,34 @@ def conjugate(K):
 
 
 def _kept(K, slot, k):
-    require_valid(K)
     kept = getattr(K, slot)
+    if kept is None:
+        require_valid(K)
     if not 0 <= k < len(kept):
         raise ValueError(f"degree {k} is outside 0 .. {len(kept) - 1}")
     return kept[k]
 
 
 def layout(K, k):
-    """The spot blocks ``(spot, start, stop)`` of degree ``k`` in increasing
-    ``p``: where each spot's coordinates sit among the columns of D_k and
-    the rows of D_{k-1}.  An invalid ``K`` raises
+    """The spot blocks ``(spot, start, stop)`` of degree ``k`` in decreasing
+    ``p``, so F^p is a prefix: where each spot's coordinates sit among the
+    columns of D_k and the rows of D_{k-1}.  An invalid ``K`` raises
     :class:`InvalidComplexError`; ``k`` runs over ``0 .. p_max + q_max + 1``,
     and the last degree has no spot."""
     return _kept(K, "_layout", k)
 
 
 def basis_spots(K, k):
-    """The spot of each basis vector of degree ``k``, in increasing ``p``."""
+    """The spot of each basis vector of degree ``k``, in decreasing ``p``."""
     return [s for s, a, b in layout(K, k) for _ in range(b - a)]
 
 
 def total_differential(K, k):
     """The total differential from degree ``k`` to ``k + 1``.
 
-    Rows and columns are blocked by :func:`layout` (increasing ``p``), so
-    the column filtration by ``p`` corresponds to suffixes of the
-    coordinate blocks.  An invalid ``K`` raises :class:`InvalidComplexError`,
+    Rows and columns are blocked by :func:`layout` (decreasing ``p``), so
+    F^p is a prefix of either degree's coordinates and D_k is the filtered
+    boundary matrix.  An invalid ``K`` raises :class:`InvalidComplexError`,
     and otherwise this is the matrix that the constructor's check kept;
     ``k`` runs over ``0 .. p_max + q_max``.
     """

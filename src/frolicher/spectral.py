@@ -2,34 +2,34 @@
 
 ``pages_filtration`` reads every page off the persistence pairing of the
 total complex T, filtered by the first grading (F^p T = spots with first
-grading >= p).  The basis of T is ordered by p descending, then total
-degree descending, so every prefix of the order is a subcomplex.  Reducing
-the boundary columns d e_j in that order pairs e_j with the element e_i at
-which its reduced column ends; ``e_i`` is born at filtration p_i and killed
-at p_j, a bar of length p_i - p_j.  A pair of length l is cancelled by the
-differential d_l (Basu & Parida, arXiv:1510.01587; Zomorodian & Carlsson,
-DCG 2005), so
+grading >= p).  Each degree is laid out in filtration order, p descending,
+so the kept D_k is the filtered boundary matrix, and its rows are reduced
+bottom-up: the row of e_i (degree k + 1) leads at the column of the e_j
+(degree k) it is paired with, a bar of length p_i - p_j.  Column reduction
+pairs alike, as both are fixed by the ranks of the lower-left blocks of D_k
+(de Silva, Morozov & Vejdemo-Johansson, *Dualities in persistent
+(co)homology*, 2011).  A pair of length l is cancelled by the differential
+d_l (Basu & Parida, arXiv:1510.01587; Zomorodian & Carlsson, DCG 2005), so
 
     E_r(p, q)  =  #{ basis elements at (p, q) that are unpaired
                      or whose bar has length >= r }
 
 and the first page equal to the limit is one more than the longest bar.
 The total differential maps degree k into degree k + 1 only, so the
-reduction is one exact elimination per degree, and its pairing is the rank
-profile of that degree's boundary matrix (``linalg.rank`` with
-``profile=True``).  Within one filtration level the order of the basis
-does not matter.
+reduction is one exact elimination per degree: the rank profile
+(``linalg.rank`` with ``profile=True``) of D_k's rows reversed, a view that
+shares them.  Within one filtration level the order of the basis does not
+matter.
 
 ``pages_explicit`` solves instead for chains of existential extensions at
 the spot itself: Z_r(p, q) is the space of d_v-closed elements whose
 horizontal images can be corrected r - 1 times, the kernel of one
-staircase, a selection of rows and columns of the validated D_{p+q},
-counted from its pivot columns with no kernel basis, product or
-back-substitution.  Page r is the cohomology of page r - 1 under d_{r-1}
-(page 0 is the spots with d_0 = d_v, and Z_0 is every element).  On
-E_{r-1}(s) = Z_{r-1}(s) / B_{r-1}(s) the kernel of d_{r-1} is
-Z_r(s) / B_{r-1}(s), so its rank out of s is dim Z_{r-1}(s) - dim Z_r(s),
-and
+staircase, a window of the validated D_{p+q}, counted from its pivot
+columns with no kernel basis, product or back-substitution.  Page r is the
+cohomology of page r - 1 under d_{r-1} (page 0 is the spots with d_0 =
+d_v, and Z_0 is every element).  On E_{r-1}(s) = Z_{r-1}(s) / B_{r-1}(s)
+the kernel of d_{r-1} is Z_r(s) / B_{r-1}(s), so its rank out of s is dim
+Z_{r-1}(s) - dim Z_r(s), and
 
     E_r(t) = E_{r-1}(t) - rank out of t - rank out of the source of t.
 
@@ -68,21 +68,20 @@ def euler_char_of_page(table):
 def _bars(K):
     """Persistence pairs of the filtered total complex of a valid ``K``.
 
-    Returns ``(birth, death)`` spot pairs: the reduced boundary column of
-    the basis element at ``death`` ends at the basis element at ``birth``.
-    The bar length is ``birth[0] - death[0]``.
+    Returns ``(birth, death)`` spot pairs: the row of D_k at ``birth``,
+    reduced bottom-up, leads at the column at ``death``.  The bar length is
+    ``birth[0] - death[0]``.
     """
     bars = []
     tgt = basis_spots(K, 0)
     for k in range(K.p_max + K.q_max):
         src, tgt = tgt, basis_spots(K, k + 1)
-        # Row j is the boundary column d e of the j-th basis vector of
-        # degree k in filtration order (p descending); the columns of degree
-        # k + 1 run in increasing p, so a row's leading column is its
-        # persistence "low".
-        d = total_differential(K, k).T[::-1]
+        # Both bases run in filtration order (p descending), so row j of
+        # the reversed D_k is the (-1 - j)-th basis vector of degree k + 1,
+        # and its leading column is the one it is paired with.
+        d = total_differential(K, k)[::-1]
         if d.any():
-            bars += [(tgt[c], src[-1 - j])
+            bars += [(tgt[-1 - j], src[c])
                      for j, c in linalg.rank(d, profile=True)]
     return bars
 
@@ -120,14 +119,14 @@ def _entry(grid, p, q):
 
 def _staircase(K, p, q, r):
     """S(p, q): the kept D_{p+q} at the rows of (p+i, q-i+1) and the columns
-    of (p+i, q-i), spot blocks for i = r-1 down to 0, each in its order."""
-    rows, cols = ([j for s, a, b in reversed(layout(K, k)) if p <= s[0] < p + r
-                   for j in range(a, b)] for k in (p + q + 1, p + q))
-    index = {j: c for c, j in enumerate(cols)}
-    d = total_differential(K, p + q).rows
-    return linalg.Matrix((len(rows), len(cols)),
-                         [{index[j]: x for j, x in d[i].items() if j in index}
-                          for i in rows])
+    of (p+i, q-i) for i = r-1 down to 0: one window, as the layout runs p
+    down, so its rows and its columns are each one range of the kept ones."""
+    (a, *_, b), (c, *_, e) = ([j for s, *ends in layout(K, k)
+                               if p <= s[0] < p + r for j in ends] or [0, 0]
+                              for k in (p + q + 1, p + q))
+    return linalg.Matrix((b - a, e - c),
+                         [{j - c: x for j, x in row.items() if c <= j < e}
+                          for row in total_differential(K, p + q).rows[a:b]])
 
 
 def _cycles(K, p, q, r):

@@ -129,6 +129,42 @@ def ref_cycles(K, p, q, r):
                                       chain))]
 
 
+def ref_bars(K):
+    """The persistence pairs of the column filtration, counted from ranks:
+    the sorted ``(birth, death)`` spot pairs, birth (a, k+1-a) in degree
+    k + 1 and death (b, k-b) in degree k, each as often as it is paired.
+
+    D_k is laid out from dense rows of ``K.arrow`` with both bases in
+    filtration order (p descending), so F^p is a prefix of each.  With R(a,
+    b) the rank of its lower-left block, the rows at p <= a and the columns
+    at p >= b, the number of pairs from (a, k+1-a) to (b, k-b) is R(a, b) -
+    R(a-1, b) - R(a, b+1) + R(a-1, b+1) (de Silva, Morozov &
+    Vejdemo-Johansson, *Dualities in persistent (co)homology*, 2011).
+    Nothing here reads the kept D_k, its layout or the package's
+    eliminator.
+    """
+    bars = []
+    ps = range(K.p_max, -1, -1)
+    for k in range(K.p_max + K.q_max):
+        tgt, src = ([(p, j - p) for p in ps if 0 <= j - p <= K.q_max]
+                    for j in (k + 1, k))
+        d = _ref_system(K, tgt, src).tolist()
+        # The rows at p <= a start after those at p > a; the columns at
+        # p >= b stop where those at p < b start.
+        start = {a: sum(K.dim(*t) for t in tgt if t[0] > a)
+                 for a in range(-1, K.p_max + 1)}
+        stop = {b: sum(K.dim(*s) for s in src if s[0] >= b)
+                for b in range(K.p_max + 2)}
+        rank = {(a, b): ref_rank([row[:stop[b]] for row in d[start[a]:]])
+                for a in start for b in stop}
+        for a in range(K.p_max + 1):
+            for b in range(a + 1):
+                n = (rank[a, b] - rank[a - 1, b] - rank[a, b + 1]
+                     + rank[a - 1, b + 1])
+                bars += [((a, k + 1 - a), (b, k - b))] * n
+    return sorted(bars)
+
+
 def ref_explicit_entry(K, p, q, r):
     """E_r(p, q) by the kernel definition: dim(Z + B) - dim B.
 

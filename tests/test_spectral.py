@@ -9,13 +9,13 @@ from frolicher.cohomology import (Table, aeppli, bott_chern, de_rham,
                                   dolbeault, row_cohomology)
 from frolicher.s6 import (DiamondParams, enumerate_diamonds,
                           predicted_tables, realize_model)
-from frolicher.spectral import (_cycles, _staircase, degeneration_page,
+from frolicher.spectral import (_bars, _cycles, _staircase, degeneration_page,
                                 euler_char_of_page, pages_explicit,
                                 pages_filtration, stable_page_index)
 from frolicher.zigzag import canonicalize_shape, enumerate_shapes, realize_shape
 from genutil import (_ref_system, change_basis, random_complex,
-                     random_complex_suite, ref_cycles, ref_explicit_entry,
-                     ref_rank, shrinks, spots)
+                     random_complex_suite, ref_bars, ref_cycles,
+                     ref_explicit_entry, ref_rank, shrinks, spots)
 
 from frolicher import linalg
 
@@ -138,6 +138,26 @@ def test_degeneration_page_matches_explicit_pages():
     assert seen == {1, 2, 3, 4}
 
 
+def test_bars_match_the_rank_count_reference():
+    # The barcode against genutil.ref_bars, which counts the pairs between
+    # two spots from ranks of lower-left blocks of a dense D_k laid out from
+    # K.arrow: on random complexes, every short shape, and the 78 bound-2
+    # models under a 4n-step unimodular map, whose D_k are dense.
+    rng = random.Random(2026)
+    complexes = (random_complex_suite(2017, 200)
+                 + [realize_shape(s, (3, 3))
+                    for s in enumerate_shapes((3, 3), 6)]
+                 + [change_basis(rng, realize_model(d), ops=lambda n: 4 * n)
+                    for d in enumerate_diamonds(2)])
+    assert len(complexes) == 200 + 82 + 78
+    long_bars = 0
+    for K in complexes:
+        bars = ref_bars(K)
+        assert sorted(_bars(K)) == bars
+        long_bars += any(b[0] - d[0] >= 2 for b, d in bars)
+    assert long_bars > 100
+
+
 def test_pages_ignore_the_basis_within_each_spot():
     rng = random.Random(15)
     plain = [realize_model(DiamondParams(0, 1, 0, 2, 1))]
@@ -223,19 +243,32 @@ def test_explicit_entries_match_the_kernel_definition():
                         == ref_rank(ref_cycles(K, p, q, r))), (p, q, r)
 
 
+def window(K, k, chain):
+    """The coordinates of degree ``k`` at the spots of ``chain`` as one
+    range ``(start, stop)``: their layout blocks must come in chain order
+    and each must start where the one before it stops."""
+    blocks = [(s, a, b) for s, a, b in layout(K, k) if s in chain]
+    assert [s for s, _, _ in blocks] == [s for s in chain
+                                         if s in {t for t, _, _ in blocks}]
+    assert all(b == a for (_, _, b), (_, a, _) in zip(blocks, blocks[1:]))
+    return (blocks[0][1], blocks[-1][2]) if blocks else (0, 0)
+
+
 def test_staircases_are_slices_of_the_kept_total_differential():
     # layout(K, k) tiles the columns of D_k and the rows of D_{k-1} with the
-    # spots of degree k in increasing p, and S(p, q) is D_{p+q} read at the
-    # spot blocks of its chain, i = r-1 down to 0, each in its own order:
-    # the system laid out from dense rows of K.arrow, at every spot and page.
-    # The pivot count does not depend on that order, but the cost of the
-    # elimination does, so the order is pinned here.
+    # spots of degree k in decreasing p, the filtration order, and S(p, q)
+    # is D_{p+q} read at the spot blocks of its chain, i = r-1 down to 0,
+    # each in its own order: one contiguous range of the kept rows and one
+    # of the kept columns, and the system laid out from dense rows of
+    # K.arrow, at every spot and page.  The pivot count does not depend on
+    # that order, but the cost of the elimination does, so the order is
+    # pinned here.
     for K in random_complex_suite(2017, 40):
         n = K.p_max + K.q_max
         for k in range(n + 2):
             blocks = layout(K, k)
             assert [s for s, _, _ in blocks] == [
-                t for t in spots(K) if sum(t) == k]
+                t for t in reversed(spots(K)) if sum(t) == k]
             stops = [b for _, _, b in blocks]
             assert [a for _, a, _ in blocks] == [0, *stops][:len(stops)]
             assert all(b - a == K.dims[s] for s, a, b in blocks)
@@ -247,8 +280,14 @@ def test_staircases_are_slices_of_the_kept_total_differential():
         for r in range(1, stable_page_index(K) + 2):
             for p, q in spots(K):
                 chain = [(p + i, q - i) for i in range(r - 1, -1, -1)]
-                assert _staircase(K, p, q, r) == _ref_system(
-                    K, [(a, b + 1) for a, b in chain], chain), (p, q, r)
+                targets = [(a, b + 1) for a, b in chain]
+                s = _staircase(K, p, q, r)
+                assert s == _ref_system(K, targets, chain), (p, q, r)
+                (a, b), (c, e) = (window(K, p + q + 1, targets),
+                                  window(K, p + q, chain))
+                kept = total_differential(K, p + q).tolist()[a:b]
+                assert s.shape == (b - a, e - c), (p, q, r)
+                assert s.tolist() == [row[c:e] for row in kept], (p, q, r)
 
 
 def test_explicit_pages_only_rank(monkeypatch):
