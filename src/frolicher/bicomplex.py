@@ -193,7 +193,7 @@ def _check(K, misfits):
     degree whose factors have a stored entry.  A nonzero block of it from
     spot s to spot u names its axiom by u - s and is reported at s, unless a
     unit-step path s -> t -> u runs through a misfit, where the composite is
-    meaningless.
+    meaningless.  Each stored entry of a product is read once.
     """
     out = [Violation(*s, "shape", note) for (s, _), note in misfits.items()]
     degrees, totals = _assemble(K, misfits)
@@ -203,9 +203,10 @@ def _check(K, misfits):
             continue
         square = linalg.mat_mul(totals[k + 1], totals[k])
         if square.any():
-            broken.update(
-                (s, u) for u, a, b in degrees[k + 2] for s, c, d in degrees[k]
-                if any(c <= j < d for row in square.rows[a:b] for j in row))
+            src, tgt = ([s for s, a, b in degrees[d] for _ in range(b - a)]
+                        for d in (k, k + 2))
+            broken.update((src[j], tgt[i])
+                          for i, row in enumerate(square.rows) for j in row)
     blocks = []
     for s, u in broken:
         step = (u[0] - s[0], u[1] - s[1])

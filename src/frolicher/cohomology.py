@@ -6,8 +6,8 @@ a dimension count obtained from exact ranks; subspace intersections and sums
 are computed on stacked and concatenated matrices, never via bases of
 harmonic representatives.
 
-The four grid theories share one rule: an entry is the spot's dimension
-minus the rank of each map that the theory charges to that spot.  Each
+The four grid theories share one rule, :meth:`.linalg.Grid.minus`: an entry
+is the spot's dimension less the ranks the theory charges to it.  Each
 entry is dim ker(out) - dim im(into) for a map ``out`` leaving the spot and
 a map ``into`` arriving there, and on a valid complex im(into) is inside
 ker(out), so the count is exact.  The maps are
@@ -63,15 +63,11 @@ class BettiVector(linalg.Record):
 
 
 def _table(theory, K, maps):
-    """The dims grid minus the rank of each nonzero ``(matrix, spots)`` pair
-    of ``maps``, taken at each of its spots."""
-    g = K.dims.tolist()
-    for m, spots in maps:
-        if m.any():
-            r = linalg.rank(m)
-            for p, q in spots:
-                g[p][q] -= r
-    return Table(linalg.Grid._of(g), theory=theory)
+    """``K.dims.minus`` the rank of each nonzero ``(matrix, spots)`` pair of
+    ``maps``, ranked once and charged to each of its spots."""
+    return Table(K.dims.minus([(s, r) for m, spots in maps if m.any()
+                               for r in [linalg.rank(m)] for s in spots]),
+                 theory=theory)
 
 
 def _composites(K):

@@ -3,9 +3,9 @@
 A :class:`Matrix` is an immutable shape plus one read-only ``{column:
 nonzero}`` mapping per row, of Python ints and ``fractions.Fraction``;
 products, assembly, stacking, transposes and row slices visit stored entries
-only.  A :class:`Grid` is an immutable rectangle of ints: dims and tables.
-Only the package calls ``Matrix._of`` and ``Grid._of``, which freeze what
-the engine built with no check.
+only; only this module calls ``Matrix._of``, which shares frozen rows.  No
+:class:`Grid`, an immutable rectangle of ints (dims and tables), is made
+unchecked: :meth:`Grid.minus`, which derives each table, checks each charge.
 One fraction-free eliminator (:func:`._kernels.eliminate`) reads the
 stored rows, so results are exact and nothing overflows.  It reduces
 forward only, and the pivots of that echelon form are those of every
@@ -112,9 +112,8 @@ class Matrix(_Immutable):
 class Grid(_Immutable):
     """An immutable rectangle of ints, indexed as ``grid[p, q]``.
 
-    Built from any iterable of rows of integers, every cell and width
-    checked; iterating it yields the rows ``grid[p, :]`` as tuples.
-    :meth:`_of`, for the engine's own counts only, checks nothing.
+    Built from any iterable of rows of ints, every cell and width checked,
+    or by :meth:`minus`; iterating it yields the rows ``grid[p, :]`` as tuples.
     """
 
     __slots__ = ("shape", "_cells")
@@ -127,12 +126,22 @@ class Grid(_Immutable):
         _set(self, "_cells", cells)
         _set(self, "shape", (len(cells), widths.pop() if widths else 0))
 
-    @classmethod
-    def _of(cls, cells):
-        """The grid of ``cells``, equal-length lists of ints, unchecked."""
-        g = object.__new__(cls)
+    def minus(self, charges):
+        """This grid less ``n`` at ``(p, q)`` for each ``((p, q), n)`` of
+        ``charges``, or the grid itself when there is none.  Each charge is
+        checked, not each cell: an int (else ``TypeError``) on the grid
+        (else ``IndexError``); the cells are copied once."""
+        cells = None
+        for (p, q), n in charges:
+            if not (0 <= p < self.shape[0] and 0 <= q < self.shape[1]):
+                raise IndexError(f"charge at {(p, q)} is off the grid")
+            cells = cells or [list(row) for row in self._cells]
+            cells[p][q] -= index(n)
+        if cells is None:
+            return self
+        g = object.__new__(Grid)
         _set(g, "_cells", tuple([tuple(row) for row in cells]))
-        _set(g, "shape", (len(cells), len(cells[0])))
+        _set(g, "shape", self.shape)
         return g
 
     def tolist(self):

@@ -44,8 +44,9 @@ restatement of it.
 
 The page at index ``min(p_max, q_max) + 2`` is stable: on a bounded grid all
 later differentials have zero source or target, so it stands in for the
-limit page, and both methods return it as every later page.  A page that no
-differential changes shares its predecessor's grid (page 0's is the dims).
+limit page.  Each method derives page r from page r - 1 (page 0 is the
+dims) by :meth:`.linalg.Grid.minus` and charges nothing after the stable
+page, so a page that no differential changes shares its predecessor's grid.
 """
 
 from . import linalg
@@ -92,23 +93,17 @@ def pages_filtration(K, r_max):
     require_valid(K)
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    last = min(r_max, stable_page_index(K))
+    stable = stable_page_index(K)
     # A bar of length l removes its two ends from every page after E_l.
-    dying = [[] for _ in range(last)]
+    dying = [[] for _ in range(stable)]
     for birth, death in _bars(K):
-        length = birth[0] - death[0]
-        if length < last:
-            dying[length] += [birth, death]
+        dying[birth[0] - death[0]] += [(birth, 1), (death, 1)]
     grid = K.dims
     tables = []
-    for r in range(1, last + 1):
-        if dying[r - 1]:
-            g = grid.tolist()
-            for p, q in dying[r - 1]:
-                g[p][q] -= 1
-            grid = linalg.Grid._of(g)
+    for r in range(1, r_max + 1):
+        grid = grid.minus(dying[r - 1] if r <= stable else ())
         tables.append(Table(grid, r=r))
-    return tables + [Table(grid, r=r) for r in range(last + 1, r_max + 1)]
+    return tables
 
 
 def _entry(grid, p, q):
@@ -157,24 +152,22 @@ def pages_explicit(K, r_max):
         raise ValueError("r_max must be at least 1")
     d_v_sources = {s for (s, t), _ in K.stored_maps() if s[0] == t[0]}
     sources = {s for (s, _), _ in K.stored_maps()}
+    stable = stable_page_index(K)
     cycles = K.dims.tolist()
     tables = []
     prev = K.dims
-    last = min(r_max, stable_page_index(K))
-    for r in range(1, last + 1):
-        g = None
-        for p, q in d_v_sources if r == 1 else sources:
+    for r in range(1, r_max + 1):
+        charges = []
+        for p, q in d_v_sources if r == 1 else sources if r <= stable else ():
             if prev[p, q] and _entry(prev, p + r - 1, q - r + 2):
                 z = _cycles(K, p, q, r)
                 rank, cycles[p][q] = cycles[p][q] - z, z
                 if rank:
-                    g = g or prev.tolist()
-                    g[p][q] -= rank
-                    g[p + r - 1][q - r + 2] -= rank
-        if g:
-            prev = linalg.Grid._of(g)
+                    charges += [((p, q), rank),
+                                ((p + r - 1, q - r + 2), rank)]
+        prev = prev.minus(charges)
         tables.append(Table(prev, r=r))
-    return tables + [Table(prev, r=r) for r in range(last + 1, r_max + 1)]
+    return tables
 
 
 def degeneration_page(K):

@@ -356,10 +356,6 @@ def corrupted_complex(rng, p_max=3, q_max=3):
     return DoubleComplex(p_max, q_max, K.dims, horiz, vert)
 
 
-def ref_nullity(mat):
-    return mat.shape[1] - ref_rank(mat) if mat.size else mat.shape[1]
-
-
 def random_fraction_matrix(rng, rows, cols, denom=4, mag=6):
     entries = [[Fraction(rng.randint(-mag, mag), rng.randint(1, denom))
                 for _ in range(cols)] for _ in range(rows)]

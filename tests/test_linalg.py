@@ -257,6 +257,50 @@ def test_constructors_take_any_iterable_of_rows():
         linalg.Grid([[1, 2], [3]])
 
 
+def test_minus_with_no_charge_is_the_grid_itself():
+    g = linalg.Grid([[1, 2], [3, 4]])
+    assert g.minus([]) is g
+    assert g.minus(iter(())) is g
+
+
+def test_minus_changes_only_the_charged_cells():
+    g = linalg.Grid([[5, 6, 7], [8, 9, 10]])
+    h = g.minus([((0, 1), 2), ((1, 2), -3), ((0, 1), 1), ((1, 0), True)])
+    expected = linalg.Grid([[5, 3, 7], [7, 9, 13]])
+    assert h == expected and h.shape == expected.shape == (2, 3)
+    assert all(type(x) is int for row in h for x in row)
+    assert g == linalg.Grid([[5, 6, 7], [8, 9, 10]])
+    # A charge of 0 is still a charge: the result is a new, equal grid.
+    zero = g.minus([((1, 1), 0)])
+    assert zero == g and zero is not g
+
+
+@pytest.mark.parametrize("charge, error", [
+    (((-1, 0), 1), IndexError), (((0, -1), 1), IndexError),
+    (((2, 0), 1), IndexError), (((0, 3), 1), IndexError),
+    (((0, 0), 1.5), TypeError), (((0, 0), "1"), TypeError),
+    (((0, 0), Fraction(1, 2)), TypeError)])
+def test_minus_refuses_a_bad_charge_and_makes_no_grid(monkeypatch, charge,
+                                                       error):
+    g = linalg.Grid([[1, 2, 3], [4, 5, 6]])
+    made = []
+
+    def recording_set(obj, name, value):
+        if isinstance(obj, linalg.Grid) and name == "_cells":
+            made.append(value)
+        object.__setattr__(obj, name, value)
+
+    monkeypatch.setattr(linalg, "_set", recording_set)
+    g.minus([((1, 1), 1)])
+    assert len(made) == 1  # the hook sees the grids that minus makes
+    made.clear()
+    for charges in ([charge], [((1, 1), 1), charge]):
+        with pytest.raises(error):
+            g.minus(charges)
+    assert made == []
+    assert g.tolist() == [[1, 2, 3], [4, 5, 6]]
+
+
 def test_constructors_read_numpy_arrays_by_their_rows():
     np = pytest.importorskip("numpy")
     a = np.arange(6).reshape(2, 3)

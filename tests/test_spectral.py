@@ -500,8 +500,9 @@ def test_a_page_shares_its_grid_exactly_when_nothing_changed():
 
 
 def test_every_table_is_a_checked_rectangle_of_ints():
-    # The engine freezes its counts with no re-check; the public
-    # constructor, which checks every cell, must rebuild the same grid.
+    # The engine derives its counts by Grid.minus, which checks each charge,
+    # not each cell; the public constructor, which checks every cell, must
+    # rebuild the same grid.
     for K in random_complex_suite(2017, 200):
         r = stable_page_index(K) + 1
         tables = (pages_filtration(K, r) + pages_explicit(K, r)
