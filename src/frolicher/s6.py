@@ -223,40 +223,29 @@ class PredictedTables(Record):
 
 
 def predicted_tables(d):
-    """Closed-form tables of the model.
+    """Closed-form tables of the model, each a 4x4 grid whose row p holds
+    the entries (p, 0) .. (p, 3).
 
     The (2,1) Bott-Chern entry is not pinned down by the general relations;
     the zigzag model attains h12 + beta there, and the (2,2) entry follows
     from 2*h^{2,1}_BC - 2*h^{0,1} + 2.
     """
     _require_admissible(d)
-
-    def grid(entries):
-        return Grid([[entries.get((p, q), 0) for q in range(4)]
-                     for p in range(4)])
-
-    e1 = grid({
-        (0, 0): 1, (1, 0): d.h10, (2, 0): d.h20, (3, 0): 0,
-        (0, 1): d.h01, (1, 1): d.h11, (2, 1): d.h12, (3, 1): d.h02,
-        (0, 2): d.h02, (1, 2): d.h12, (2, 2): d.h11, (3, 2): d.h01,
-        (0, 3): 0, (1, 3): d.h20, (2, 3): d.h10, (3, 3): 1})
-    e2 = grid({(0, 0): 1, (3, 3): 1,
-               **dict.fromkeys(((0, 1), (2, 0), (1, 3), (3, 2)), d.alpha),
-               **dict.fromkeys(((0, 2), (2, 1), (1, 2), (3, 1)), d.beta)})
-    e3 = grid({(0, 0): 1, (3, 3): 1})
-
-    h21bc = d.h12 + d.beta
-    bc = grid({
-        (0, 0): 1, (1, 0): 0, (0, 1): 0,
-        (2, 0): d.h20, (0, 2): d.h20,
-        (1, 1): 2 * d.h01,
-        (3, 0): 0, (0, 3): 0,
-        (2, 1): h21bc, (1, 2): h21bc,
-        (3, 1): d.h02, (1, 3): d.h02,
-        (2, 2): 2 * h21bc - 2 * d.h01 + 2,
-        (3, 2): d.h02 + 1 + d.h20, (2, 3): d.h02 + 1 + d.h20,
-        (3, 3): 1})
-    ae = grid({(p, q): bc[3 - q, 3 - p] for p in range(4) for q in range(4)})
+    a, b, h21bc = d.alpha, d.beta, d.h12 + d.beta
+    e1 = Grid([[1, d.h01, d.h02, 0],
+               [d.h10, d.h11, d.h12, d.h20],
+               [d.h20, d.h12, d.h11, d.h10],
+               [0, d.h02, d.h01, 1]])
+    e2 = Grid([[1, a, b, 0],
+               [0, 0, b, a],
+               [a, b, 0, 0],
+               [0, b, a, 1]])
+    e3 = Grid([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
+    bc = Grid([[1, 0, d.h20, 0],
+               [0, 2 * d.h01, h21bc, d.h02],
+               [d.h20, h21bc, 2 * h21bc - 2 * d.h01 + 2, d.h02 + 1 + d.h20],
+               [0, d.h02, d.h02 + 1 + d.h20, 1]])
+    ae = Grid([[bc[3 - q, 3 - p] for q in range(4)] for p in range(4)])
     return PredictedTables(
         e1=Table(e1, r=1),
         e2=Table(e2, r=2),

@@ -45,8 +45,10 @@ restatement of it.
 The page at index ``min(p_max, q_max) + 2`` is stable: on a bounded grid all
 later differentials have zero source or target, so it stands in for the
 limit page.  Each method derives page r from page r - 1 (page 0 is the
-dims) by :meth:`.linalg.Grid.minus` and charges nothing after the stable
-page, so a page that no differential changes shares its predecessor's grid.
+dims) by :meth:`.linalg.Grid.minus`, so a page that no differential changes
+shares its predecessor's grid.  The filtration method charges each bar's
+ends by the bar's length, and no bar reaches past the stable page; the
+explicit method solves nothing after it, a bound on its work, not a fact.
 """
 
 from . import linalg
@@ -88,28 +90,22 @@ def _bars(K):
 
 
 def pages_filtration(K, r_max):
-    """Page tables r = 1 .. r_max from the barcode of the filtration; no
-    bar changes a page after :func:`stable_page_index`, so they repeat it."""
+    """Page tables r = 1 .. r_max from the barcode of the filtration: page
+    r loses the ends of the bars of length r - 1, a charge keyed by length."""
     require_valid(K)
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    stable = stable_page_index(K)
     # A bar of length l removes its two ends from every page after E_l.
-    dying = [[] for _ in range(stable)]
+    dying = {}
     for birth, death in _bars(K):
-        dying[birth[0] - death[0]] += [(birth, 1), (death, 1)]
+        dying.setdefault(birth[0] - death[0], []).extend(
+            ((birth, 1), (death, 1)))
     grid = K.dims
     tables = []
     for r in range(1, r_max + 1):
-        grid = grid.minus(dying[r - 1] if r <= stable else ())
+        grid = grid.minus(dying.get(r - 1, ()))
         tables.append(Table(grid, r=r))
     return tables
-
-
-def _entry(grid, p, q):
-    """``grid[p, q]``, or 0 off the grid."""
-    P, Q = grid.shape
-    return grid[p, q] if 0 <= p < P and 0 <= q < Q else 0
 
 
 def _staircase(K, p, q, r):
@@ -145,7 +141,8 @@ def pages_explicit(K, r_max):
     staircase there) and page r - 1 is nonzero at s and at its target
     (p + r - 1, q - r + 2).  There it is solved at s, and d_{r-1} has rank
     dim Z_{r-1}(s) - dim Z_r(s) out of s, which E_r loses at s and at the
-    target.  Pages after :func:`stable_page_index` are the stable page.
+    target.  Nothing is solved after :func:`stable_page_index`, where no
+    differential acts: that bounds the work of a large ``r_max``.
     """
     require_valid(K)
     if r_max < 1:
@@ -159,12 +156,12 @@ def pages_explicit(K, r_max):
     for r in range(1, r_max + 1):
         charges = []
         for p, q in d_v_sources if r == 1 else sources if r <= stable else ():
-            if prev[p, q] and _entry(prev, p + r - 1, q - r + 2):
+            t = (p + r - 1, q - r + 2)
+            if prev[p, q] and K.dim(*t) and prev[t]:
                 z = _cycles(K, p, q, r)
                 rank, cycles[p][q] = cycles[p][q] - z, z
                 if rank:
-                    charges += [((p, q), rank),
-                                ((p + r - 1, q - r + 2), rank)]
+                    charges += [((p, q), rank), (t, rank)]
         prev = prev.minus(charges)
         tables.append(Table(prev, r=r))
     return tables

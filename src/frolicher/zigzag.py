@@ -97,7 +97,8 @@ def synthesize(multiset, grid):
 
     Summands are laid out in canonical shape order, copies consecutively, so
     the synthesized complex is identical across runs; the result equals the
-    fold of :func:`.bicomplex.direct_sum` over the same sequence.
+    fold of :func:`.bicomplex.direct_sum` over the same sequence.  Every
+    dot is checked against the grid, even of a shape of multiplicity 0.
     """
     p_max, q_max = grid
     if any(mult < 0 for mult in multiset.values()):
@@ -110,8 +111,6 @@ def synthesize(multiset, grid):
     ones = {}
     for shape in sorted(multiset):
         mult = multiset[shape]
-        if not mult:
-            continue
         start = {}
         for p, q in shape.dots:
             if p > p_max or q > q_max:

@@ -224,6 +224,10 @@ def test_mat_mul_exact_and_promotes():
     f = linalg.from_rows(2, 2, [[Fraction(1, 2), 0], [0, 1]])
     g = linalg.from_rows(2, 2, [[2, 0], [0, 3]])
     assert linalg.mat_mul(f, g)[0, 0] == 1
+    for x, y in ((a, a), (f, a)):
+        with pytest.raises(ValueError) as err:
+            linalg.mat_mul(x, y)
+        assert str(err.value) == f"shape mismatch {x.shape} @ {y.shape}"
 
 
 def test_assemble_blocks():
@@ -234,6 +238,10 @@ def test_assemble_blocks():
     assert m[2, 2] == 7 and m[0, 0] == 1 and m[0, 2] == 0
     with pytest.raises(ValueError):
         linalg.assemble([2], [2], {(0, 0): b})
+    assert linalg.vstack([a, linalg.from_rows(1, 2, [[5, 6]])])[2, 1] == 6
+    with pytest.raises(ValueError) as err:
+        linalg.vstack([a, b])
+    assert str(err.value) == "cannot stack column counts [1, 2]"
 
 
 def test_from_rows_shape_check():

@@ -89,6 +89,9 @@ def test_constraint_ids_unique():
 
 def test_enumerate_bound_zero_empty():
     assert enumerate_diamonds(0) == []
+    with pytest.raises(ValueError) as err:
+        enumerate_diamonds(-1)
+    assert str(err.value) == "bound must be non-negative"
 
 
 def test_enumerate_bound_one_h11_zero():
@@ -178,7 +181,8 @@ def test_admissible_diamonds_build_no_report(monkeypatch):
                 fn(d)
             assert err.value.report == report
     # An inadmissible extraction names the first check its report violates,
-    # one kind each: count c < 0 (first violating h11-ugarte), d < 0, h < 0.
+    # one kind each: count c < 0 (first violating h11-ugarte), d < 0, h < 0;
+    # a negative extracted parameter is invalid before any check.
     for table, p, q, value, message in [
             ("e2", 0, 1, 2, "(h10=0 h02=0 h11=1 alpha=2 beta=0) inadmissible: "
              "h11-ugarte (h^{1,1} >= h^{1,2} - h^{0,2})"),
@@ -187,7 +191,8 @@ def test_admissible_diamonds_build_no_report(monkeypatch):
              "h^{0,2}-beta >= 0))"),
             ("e1", 1, 1, 0, "(h10=0 h02=0 h11=0 alpha=0 beta=0) inadmissible: "
              "count-h (h^{1,2} >= h^{0,2} (length-2 family at (1,1) counts "
-             "h^{1,1}-h^{0,2}+alpha-1 >= 0))")]:
+             "h^{1,1}-h^{0,2}+alpha-1 >= 0))"),
+            ("e1", 1, 1, -1, "invalid: h11 must be a non-negative integer")]:
         pred = predicted_tables(ETESI)
         grids = {"e1": pred.e1.grid.tolist(), "e2": pred.e2.grid.tolist()}
         grids[table][p][q] = value
@@ -213,11 +218,16 @@ def test_etesi_dolbeault_matches_expected_spots():
 
 
 def test_predicted_e1_serre_symmetric():
+    # E1, E2 and E_{r>=3} are Serre-symmetric, h^{p,q} = h^{3-p,3-q}, and
+    # Bott-Chern is conjugation-symmetric, (p, q) <-> (q, p): a row of a
+    # literal grid written in the wrong place breaks one of them.
     for d in enumerate_diamonds(2)[:20]:
-        e1 = predicted_tables(d).e1.grid
+        pred = predicted_tables(d)
         for p in range(4):
             for q in range(4):
-                assert e1[p, q] == e1[3 - p, 3 - q]
+                for t in (pred.e1, pred.e2, pred.e3plus):
+                    assert t.grid[p, q] == t.grid[3 - p, 3 - q], (d, t)
+                assert pred.bott_chern.grid[p, q] == pred.bott_chern.grid[q, p]
 
 
 def test_predicted_etesi_values():

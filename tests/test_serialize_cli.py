@@ -410,6 +410,14 @@ def synth_doc(tmp_path, capsys, doc):
     return code, capsys.readouterr().err
 
 
+def test_cli_zigzag_synth_checks_dots_of_zero_multiplicity(tmp_path, capsys):
+    doc = {"grid": {"p_max": 3, "q_max": 3},
+           "zigzags": [{"dots": [[9, 9]], "mult": 0}]}
+    code, err = synth_doc(tmp_path, capsys, doc)
+    assert code == 1
+    assert err == "error: dot (9,9) outside grid 3x3\n"
+
+
 def test_cli_zigzag_synth_rejects_oversized_grid(tmp_path, capsys):
     doc = {"grid": {"p_max": 10 ** 9, "q_max": 10 ** 9}, "zigzags": []}
     code, err = synth_doc(tmp_path, capsys, doc)

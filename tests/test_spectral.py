@@ -474,6 +474,9 @@ def test_page_table_entry_and_eq():
     assert t.grid[1, 0] == 3
     assert t == Table(linalg.Grid(g), r=2)
     assert t != Table(g, r=3)
+    with pytest.raises(ValueError) as err:
+        Table(g, theory="x")
+    assert str(err.value) == "unknown theory 'x'"
 
 
 def test_pages_from_e3_on_share_one_grid():

@@ -7,6 +7,7 @@ from frolicher import linalg
 from frolicher.bicomplex import conjugate, direct_sum, dual, validate
 from frolicher.cohomology import (aeppli, bott_chern, de_rham, dolbeault,
                                   row_cohomology)
+from frolicher.serialize import complex_to_json
 from frolicher.spectral import pages_filtration, stable_page_index
 from frolicher.zigzag import (GridError, ShapeError, canonicalize_shape,
                               contribution_profile, enumerate_shapes,
@@ -70,6 +71,24 @@ def test_synthesize_empty_and_double():
     K = synthesize(Counter({c: 2}), (3, 3))
     assert K.dim(0, 1) == K.dim(1, 1) == 2
     assert dh(K, 0, 1) == linalg.from_rows(2, 2, [[1, 0], [0, 1]])
+
+
+def test_synthesize_checks_every_multiplicity():
+    # Every dot is checked against the grid, even of a shape that adds no
+    # copy; a zero multiplicity otherwise adds nothing, and a negative one
+    # is refused.
+    far = canonicalize_shape([(9, 9)])
+    with pytest.raises(GridError) as err:
+        synthesize(Counter({far: 0}), (3, 3))
+    assert str(err.value) == "dot (9,9) outside grid 3x3"
+    c = canonicalize_shape([(0, 1), (1, 1)])
+    e = canonicalize_shape([(1, 0), (2, 0)])
+    zeros = Counter({c: 2, e: 0, canonicalize_shape([(3, 3)]): 0})
+    K, plain = (synthesize(m, (3, 3)) for m in (zeros, Counter({c: 2})))
+    assert K == plain and complex_to_json(K) == complex_to_json(plain)
+    with pytest.raises(ValueError) as err:
+        synthesize(Counter({c: 1, e: -1}), (3, 3))
+    assert str(err.value) == "negative multiplicity"
 
 
 def test_synthesize_matches_fold():
