@@ -24,7 +24,8 @@ ker(out), so the count is exact.  The maps are
   the rank is that of the two arrows side by side.
 
 Each map is ranked once, however many spots it is charged to, and no
-matrix is assembled to be ranked: only the composites are new.
+matrix is assembled to be ranked, here or by either method of
+:mod:`.spectral`: only the composites are new.
 """
 
 from . import linalg

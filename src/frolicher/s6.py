@@ -7,8 +7,9 @@ beta = h_2^{0,2}.  The remaining Hodge numbers are derived:
     h01 = h02 + 1        h20 = h10 + alpha      h12 = h11 + alpha - 1
 
 together with the reflection h^{p,q} = h^{3-p,3-q}.  With this choice all the
-equalities of the catalog become identities and exactly three inequalities
-stay live: the model complex's zigzag family counts are non-negative.  The
+equalities of the catalog become identities, and three inequalities stay
+independent: the model complex's zigzag family counts are non-negative;
+Ugarte's h^{1,1} >= h^{1,2} - h^{0,2} is the first of them restated.  The
 counts alone decide admissibility; :func:`check_constraints` only reports.
 
 Each admissible tuple is realized as an explicit double complex on the 3x3
@@ -104,10 +105,11 @@ class InferenceMismatchError(ValueError):
 def check_constraints(d, assume_a0=False):
     """Report the full constraint catalog on one parameter tuple.
 
-    The equalities hold by construction of the derived quantities and are
-    reported as definitional; the live checks are the three family-count
-    inequalities, read off :func:`family_counts` (plus ``h10 <= 1`` under
-    the zero-algebraic-dimension assumption).  Every check holds iff
+    The equalities and ``h10-h20`` hold by construction of the derived
+    quantities.  The rows that can fail are the three family-count
+    inequalities, read off :func:`family_counts`, ``h11-ugarte``, which is
+    ``count-c`` restated and fails with it, and ``h10 <= 1`` under the
+    zero-algebraic-dimension assumption.  Every check holds iff
     ``_admissible`` does, which decides; this builds only the report.
     """
     checks = []

@@ -23,13 +23,13 @@ matter.
 
 ``pages_explicit`` solves instead for chains of existential extensions at
 the spot itself: Z_r(p, q) is the space of d_v-closed elements whose
-horizontal images can be corrected r - 1 times, the kernel of one
-staircase, a window of the validated D_{p+q}, counted from its pivot
-columns with no kernel basis, product or back-substitution.  Page r is the
-cohomology of page r - 1 under d_{r-1} (page 0 is the spots with d_0 =
-d_v, and Z_0 is every element).  On E_{r-1}(s) = Z_{r-1}(s) / B_{r-1}(s)
-the kernel of d_{r-1} is Z_r(s) / B_{r-1}(s), so its rank out of s is dim
-Z_{r-1}(s) - dim Z_r(s), and
+horizontal images can be corrected r - 1 times, counted from the pivot
+columns of one row slice of the validated D_{p+q}, a view that shares its
+rows, with no matrix built and no kernel basis, product or
+back-substitution.  Page r is the cohomology of page r - 1 under d_{r-1}
+(page 0 is the spots with d_0 = d_v, and Z_0 is every element).  On
+E_{r-1}(s) = Z_{r-1}(s) / B_{r-1}(s) the kernel of d_{r-1} is Z_r(s) /
+B_{r-1}(s), so its rank out of s is dim Z_{r-1}(s) - dim Z_r(s), and
 
     E_r(t) = E_{r-1}(t) - rank out of t - rank out of the source of t.
 
@@ -108,37 +108,33 @@ def pages_filtration(K, r_max):
     return tables
 
 
-def _staircase(K, p, q, r):
-    """S(p, q): the kept D_{p+q} at the rows of (p+i, q-i+1) and the columns
-    of (p+i, q-i) for i = r-1 down to 0: one window, as the layout runs p
-    down, so its rows and its columns are each one range of the kept ones."""
-    (a, *_, b), (c, *_, e) = ([j for s, *ends in layout(K, k)
-                               if p <= s[0] < p + r for j in ends] or [0, 0]
-                              for k in (p + q + 1, p + q))
-    return linalg.Matrix((b - a, e - c),
-                         [{j - c: x for j, x in row.items() if c <= j < e}
-                          for row in total_differential(K, p + q).rows[a:b]])
-
-
 def _cycles(K, p, q, r):
     """dim Z_r(p, q), the a_0 of chains (a_0, .., a_{r-1}) at (p+i, q-i)
-    with d_v a_0 = 0 and d_h a_{i-1} + d_v a_i = 0: the kernel of S(p, q)
-    read at a_0, whose columns come last, so dim Z_r = dim(p, q) - the
-    pivot columns among them.  A zero S is not eliminated."""
-    n = K.dims[p, q]
-    s = _staircase(K, p, q, r)
-    if not s.any():
-        return n
-    return n - sum(c >= s.shape[1] - n
-                   for _, c in linalg.rank(s, profile=True))
+    with d_v a_0 = 0 and d_h a_{i-1} + d_v a_i = 0.
+
+    The equations are the rows of the kept D_{p+q} at (p+i, q-i+1) for i =
+    r-1 down to 0, one range as the layout runs p down, ranked as a view
+    that shares them.  They have no entry left of the chain's columns,
+    which end with a_0's, and right of a_0's only at (p-1, q+1).  A pivot
+    before column j counts the rank of the first j columns, so the pivots
+    among a_0's are those of the system on the chain's columns alone, and
+    dim Z_r = dim(p, q) less them.  A zero slice is not eliminated."""
+    a, *_, b = [j for s, *ends in layout(K, p + q + 1)
+                if p <= s[0] < p + r for j in ends] or [0, 0]
+    (start, stop), = [ends for s, *ends in layout(K, p + q) if s == (p, q)]
+    rows = total_differential(K, p + q)[a:b]
+    if not rows.any():
+        return stop - start
+    return stop - start - sum(start <= c < stop
+                              for _, c in linalg.rank(rows, profile=True))
 
 
 def pages_explicit(K, r_max):
     """Page tables r = 1 .. r_max from the cycle counts dim Z_r per spot.
 
     Z_r(s) is carried from Z_{r-1}(s) (Z_0 is the dims grid) unless d_{r-1}
-    can act out of s: a stored arrow leaves s (on page 1 a d_v, the whole
-    staircase there) and page r - 1 is nonzero at s and at its target
+    can act out of s: a stored arrow leaves s (on page 1 a d_v, the one
+    arrow of the chain there) and page r - 1 is nonzero at s and at its target
     (p + r - 1, q - r + 2).  There it is solved at s, and d_{r-1} has rank
     dim Z_{r-1}(s) - dim Z_r(s) out of s, which E_r loses at s and at the
     target.  Nothing is solved after :func:`stable_page_index`, where no

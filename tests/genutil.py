@@ -19,7 +19,7 @@ from math import gcd, lcm
 from frolicher import linalg
 from frolicher.linalg import Grid
 from frolicher.bicomplex import (DoubleComplex, Violation, direct_sum,
-                                 empty_complex)
+                                 empty_complex, total_differential)
 from frolicher.zigzag import canonicalize_shape, realize_shape, synthesize
 
 
@@ -127,6 +127,42 @@ def ref_cycles(K, p, q, r):
     return [v[:n] for v in
             ref_nullspace(_ref_system(K, [(a, b + 1) for a, b in chain],
                                       chain))]
+
+
+def chain_slice_faults(K, p, q, r, rows):
+    """What is wrong with ``rows`` as the equations of Z_r(p, q) that
+    ``spectral._cycles`` ranks, the rows of the kept D_{p+q} at (p+i,
+    q-i+1) for i = r-1 down to 0; an empty list when nothing is.
+
+    ``"rows"``: they are not that one range of the kept rows, in chain
+    order and shared.  ``"columns"``: an entry lies left of the chain's
+    columns, or right of (p, q)'s outside those of (p-1, q+1).
+    ``"system"``: the chain's columns differ from :func:`_ref_system`.
+    ``rows`` is ``None`` when nothing was ranked, and then the kept range
+    must have no entry.  The ranges are summed from ``K.dim`` in
+    filtration order (p descending), not read off the kept layout.
+    """
+    def start(k, first):
+        """The first coordinate of degree ``k`` at first grading <= first."""
+        return sum(K.dim(s, k - s) for s in range(first + 1, K.p_max + 1))
+
+    a, b = start(p + q + 1, p + r - 1), start(p + q + 1, p - 1)
+    c, e, f = [start(p + q, x) for x in (p + r - 1, p - 1, p - 2)]
+    kept = total_differential(K, p + q)
+    if rows is None:
+        return ["rows"] if any(kept.rows[a:b]) else []
+    faults = []
+    if (rows.shape != (b - a, kept.shape[1])
+            or any(x is not y for x, y in zip(rows.rows, kept.rows[a:b]))):
+        faults.append("rows")
+    if any(not c <= j < f for row in rows.rows for j in row):
+        faults.append("columns")
+    chain = [(p + i, q - i) for i in range(r - 1, -1, -1)]
+    system = _ref_system(K, [(x, y + 1) for x, y in chain], chain)
+    if [[row.get(j, 0) for j in range(c, e)]
+            for row in rows.rows] != system.tolist():
+        faults.append("system")
+    return faults
 
 
 def ref_bars(K):

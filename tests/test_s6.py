@@ -6,6 +6,7 @@ import pytest
 from frolicher import s6
 from frolicher.bicomplex import dual, validate
 from frolicher.cohomology import BettiVector, Table, dolbeault
+from frolicher.linalg import Grid
 from frolicher.s6 import (DiamondParams, InadmissibleParamsError,
                           InferenceMismatchError, ModelTables,
                           check_constraints, compute_model_tables,
@@ -122,6 +123,14 @@ def test_catalog_holds_iff_every_family_count_is_non_negative():
         assert check_constraints(d).all_hold == counts_hold
         assert (check_constraints(d, assume_a0=True).all_hold
                 == (counts_hold and d.h10 <= 1))
+    # Only the counts, h10 <= 1 and h11-ugarte, which is count-c restated
+    # (h^{0,2} + 1 - alpha >= 0), can fail; every other row is an identity.
+    live = {"count-c", "count-d", "count-h", "h11-ugarte", "h10-1"}
+    for d, assume_a0 in product(box, (False, True)):
+        report = check_constraints(d, assume_a0)
+        holds = {c.cid: c.holds for c in report.checks}
+        assert holds["h11-ugarte"] == holds["count-c"], d
+        assert all(v for cid, v in holds.items() if cid not in live), d
     # The enumeration is the box filtered by the catalog, under every flag.
     for assume_a0, h11_zero_only in product((False, True), repeat=2):
         expected = [d for d in box if not (h11_zero_only and d.h11)
@@ -217,17 +226,49 @@ def test_etesi_dolbeault_matches_expected_spots():
                        (3, 2): 1, (3, 3): 1}
 
 
+def page_relation_faults(e1, e2, e3):
+    """The relations of the notes that E1, E2 and E_{r>=3} break, none of
+    them a symmetry: each page is at most the one before it, entry by
+    entry; each has Euler characteristic 2; d_1 is horizontal, so the
+    alternating sum of E1 - E2 along each row q vanishes; and d_2 maps (p,
+    q) to (p + 2, q - 1), so that of E2 - E3 along each line p + 2q = c."""
+    box = list(product(range(4), repeat=2))
+    faults = []
+    if any(e2[s] > e1[s] or e3[s] > e2[s] for s in box):
+        faults.append("shrink")
+    if any(sum((-1) ** (p + q) * g[p, q] for p, q in box) != 2
+           for g in (e1, e2, e3)):
+        faults.append("euler")
+    if any(sum((-1) ** p * (e1[p, q] - e2[p, q]) for p in range(4))
+           for q in range(4)):
+        faults.append("d1")
+    if any(sum((-1) ** q * (e2[p, q] - e3[p, q])
+               for p, q in box if p + 2 * q == c) for c in range(10)):
+        faults.append("d2")
+    return faults
+
+
 def test_predicted_e1_serre_symmetric():
     # E1, E2 and E_{r>=3} are Serre-symmetric, h^{p,q} = h^{3-p,3-q}, and
     # Bott-Chern is conjugation-symmetric, (p, q) <-> (q, p): a row of a
-    # literal grid written in the wrong place breaks one of them.
-    for d in enumerate_diamonds(2)[:20]:
+    # literal grid written in the wrong place breaks one of them.  A swap
+    # of the mirror rows p and 3 - p keeps both, so the pages must also
+    # keep the relations of page_relation_faults; a swap of E2's rows 1 and
+    # 2 breaks each of them on some diamond of the bound-3 box.
+    caught = set()
+    for d in enumerate_diamonds(3):
         pred = predicted_tables(d)
         for p in range(4):
             for q in range(4):
                 for t in (pred.e1, pred.e2, pred.e3plus):
                     assert t.grid[p, q] == t.grid[3 - p, 3 - q], (d, t)
                 assert pred.bott_chern.grid[p, q] == pred.bott_chern.grid[q, p]
+        e1, e2, e3 = pred.e1.grid, pred.e2.grid, pred.e3plus.grid
+        assert page_relation_faults(e1, e2, e3) == [], d
+        rows = list(e2)
+        rows[1], rows[2] = rows[2], rows[1]
+        caught.update(page_relation_faults(e1, Grid(rows), e3))
+    assert caught == {"shrink", "euler", "d1", "d2"}
 
 
 def test_predicted_etesi_values():

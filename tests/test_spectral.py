@@ -9,11 +9,11 @@ from frolicher.cohomology import (Table, aeppli, bott_chern, de_rham,
                                   dolbeault, row_cohomology)
 from frolicher.s6 import (DiamondParams, enumerate_diamonds,
                           predicted_tables, realize_model)
-from frolicher.spectral import (_bars, _cycles, _staircase, degeneration_page,
+from frolicher.spectral import (_bars, _cycles, degeneration_page,
                                 euler_char_of_page, pages_explicit,
                                 pages_filtration, stable_page_index)
 from frolicher.zigzag import canonicalize_shape, enumerate_shapes, realize_shape
-from genutil import (_ref_system, change_basis, random_complex,
+from genutil import (chain_slice_faults, change_basis, random_complex,
                      random_complex_suite, ref_bars, ref_cycles,
                      ref_explicit_entry, ref_rank, shrinks, spots)
 
@@ -243,27 +243,26 @@ def test_explicit_entries_match_the_kernel_definition():
                         == ref_rank(ref_cycles(K, p, q, r))), (p, q, r)
 
 
-def window(K, k, chain):
-    """The coordinates of degree ``k`` at the spots of ``chain`` as one
-    range ``(start, stop)``: their layout blocks must come in chain order
-    and each must start where the one before it stops."""
-    blocks = [(s, a, b) for s, a, b in layout(K, k) if s in chain]
-    assert [s for s, _, _ in blocks] == [s for s in chain
-                                         if s in {t for t, _, _ in blocks}]
-    assert all(b == a for (_, _, b), (_, a, _) in zip(blocks, blocks[1:]))
-    return (blocks[0][1], blocks[-1][2]) if blocks else (0, 0)
-
-
-def test_staircases_are_slices_of_the_kept_total_differential():
+def test_staircases_are_slices_of_the_kept_total_differential(monkeypatch):
     # layout(K, k) tiles the columns of D_k and the rows of D_{k-1} with the
-    # spots of degree k in decreasing p, the filtration order, and S(p, q)
-    # is D_{p+q} read at the spot blocks of its chain, i = r-1 down to 0,
-    # each in its own order: one contiguous range of the kept rows and one
-    # of the kept columns, and the system laid out from dense rows of
-    # K.arrow, at every spot and page.  The pivot count does not depend on
-    # that order, but the cost of the elimination does, so the order is
-    # pinned here.
-    for K in random_complex_suite(2017, 40):
+    # spots of degree k in decreasing p, the filtration order.  _cycles
+    # ranks D_{p+q} at the rows of its chain's targets, i = r-1 down to 0:
+    # one contiguous range of the kept rows, shared, with no entry left of
+    # the chain's columns and right of (p, q)'s only at (p-1, q+1), and the
+    # chain's columns are the system laid out from dense rows of K.arrow,
+    # at every spot and page.  A slice is ranked only when it has an entry.
+    # The pivot count does not depend on the order of the blocks, but the
+    # cost of the elimination does, so the order is pinned here.
+    complexes = random_complex_suite(2017, 40)
+    ranked = []
+    rank = linalg.rank
+
+    def recorded(a, profile=False):
+        ranked.append(a)
+        return rank(a, profile=profile)
+
+    monkeypatch.setattr(linalg, "rank", recorded)
+    for K in complexes:
         n = K.p_max + K.q_max
         for k in range(n + 2):
             blocks = layout(K, k)
@@ -279,59 +278,63 @@ def test_staircases_are_slices_of_the_kept_total_differential():
                 assert total_differential(K, k - 1).shape[0] == size
         for r in range(1, stable_page_index(K) + 2):
             for p, q in spots(K):
-                chain = [(p + i, q - i) for i in range(r - 1, -1, -1)]
-                targets = [(a, b + 1) for a, b in chain]
-                s = _staircase(K, p, q, r)
-                assert s == _ref_system(K, targets, chain), (p, q, r)
-                (a, b), (c, e) = (window(K, p + q + 1, targets),
-                                  window(K, p + q, chain))
-                kept = total_differential(K, p + q).tolist()[a:b]
-                assert s.shape == (b - a, e - c), (p, q, r)
-                assert s.tolist() == [row[c:e] for row in kept], (p, q, r)
+                ranked.clear()
+                _cycles(K, p, q, r)
+                assert len(ranked) <= 1 and all(a.any() for a in ranked)
+                assert chain_slice_faults(K, p, q, r, (ranked or [None])[0]
+                                          ) == [], (p, q, r)
 
 
 def test_explicit_pages_only_rank(monkeypatch):
-    # Each solve counts the pivot columns of one staircase, one elimination
-    # at most: no kernel basis, product or side-by-side stack is formed.
-    # Validation multiplies, and every complex is checked as it is built,
-    # before those are made to raise.
-    complexes = short_shapes_and_random_complexes(18)
+    # Each solve counts the pivot columns of one row slice, one elimination
+    # at most: no kernel basis, product or side-by-side stack is formed,
+    # and neither page method nor de Rham builds a matrix, as each ranks
+    # views of the kept D_k.  Validation multiplies and assembles, and
+    # every complex is checked as it is built, before those are made to
+    # raise.
+    complexes = short_shapes_and_random_complexes(18) + [
+        realize_model(d) for d in enumerate_diamonds(2)]
 
     def refuse(name):
         def raising(*args, **kwargs):
             raise AssertionError(f"linalg.{name} called")
         return raising
 
-    for name in ("nullspace", "mat_mul", "hstack", "rank_of_columns"):
+    for name in ("nullspace", "mat_mul", "hstack", "rank_of_columns",
+                 "assemble"):
         monkeypatch.setattr(linalg, name, refuse(name))
+    monkeypatch.setattr(linalg.Matrix, "__init__", refuse("Matrix"))
     for K in complexes:
         r = stable_page_index(K)
-        assert pages_explicit(K, r) == pages_filtration(K, r)
+        pages = pages_filtration(K, r)
+        assert pages_explicit(K, r) == pages
+        assert list(de_rham(K)) == [
+            sum(pages[-1].grid[p, k - p] for p in range(K.p_max + 1)
+                if 0 <= k - p <= K.q_max)
+            for k in range(K.p_max + K.q_max + 1)]
 
 
 def test_explicit_entries_assemble_one_staircase(monkeypatch):
-    # One system per solve, laid out by _staircase at the spot, never all
-    # zero, and no (spot, page) of a complex solved twice: B_r is never
-    # solved.  The short shapes solve few entries, so the bound-2 models
-    # join them.
+    # One elimination per solve, of a row slice with an entry, and no
+    # (spot, page) of a complex solved twice: B_r is never solved.  The
+    # short shapes solve few entries, so the bound-2 models join them.
     from frolicher import spectral
-    solve, lay_out = spectral._cycles, spectral._staircase
+    solve, rank = spectral._cycles, linalg.rank
     solved, callers = [], []
 
     def counted_solve(K, p, q, r):
         solved.append((id(K), p, q, r))
         return solve(K, p, q, r)
 
-    def counted_staircase(*args):
+    def counted_rank(a, profile=False):
         callers.append(sys._getframe(1).f_code.co_name)
-        staircase = lay_out(*args)
-        assert staircase.any(), "laid out an all-zero staircase"
-        return staircase
+        assert a.any(), "eliminated an all-zero slice"
+        return rank(a, profile=profile)
 
-    monkeypatch.setattr(spectral, "_cycles", counted_solve)
-    monkeypatch.setattr(spectral, "_staircase", counted_staircase)
     complexes = short_shapes_and_random_complexes(19) + [
         realize_model(d) for d in enumerate_diamonds(2)]
+    monkeypatch.setattr(spectral, "_cycles", counted_solve)
+    monkeypatch.setattr(linalg, "rank", counted_rank)
     for K in complexes:
         pages_explicit(K, stable_page_index(K))
     assert len(solved) > 300
