@@ -139,8 +139,9 @@ def chain_slice_faults(K, p, q, r, rows):
     columns, or right of (p, q)'s outside those of (p-1, q+1).
     ``"system"``: the chain's columns differ from :func:`_ref_system`.
     ``rows`` is ``None`` when nothing was ranked, and then the kept range
-    must have no entry.  The ranges are summed from ``K.dim`` in
-    filtration order (p descending), not read off the kept layout.
+    must have no entry and is checked for columns and system in its place.
+    The ranges are summed from ``K.dim`` in filtration order (p
+    descending), not read off the kept layout.
     """
     def start(k, first):
         """The first coordinate of degree ``k`` at first grading <= first."""
@@ -150,17 +151,20 @@ def chain_slice_faults(K, p, q, r, rows):
     c, e, f = [start(p + q, x) for x in (p + r - 1, p - 1, p - 2)]
     kept = total_differential(K, p + q)
     if rows is None:
-        return ["rows"] if any(kept.rows[a:b]) else []
-    faults = []
-    if (rows.shape != (b - a, kept.shape[1])
-            or any(x is not y for x, y in zip(rows.rows, kept.rows[a:b]))):
-        faults.append("rows")
-    if any(not c <= j < f for row in rows.rows for j in row):
+        faults = ["rows"] if any(kept.rows[a:b]) else []
+        rows = kept.rows[a:b]
+    else:
+        faults = []
+        if (rows.shape != (b - a, kept.shape[1])
+                or any(x is not y for x, y in zip(rows.rows, kept.rows[a:b]))):
+            faults.append("rows")
+        rows = rows.rows
+    if any(not c <= j < f for row in rows for j in row):
         faults.append("columns")
     chain = [(p + i, q - i) for i in range(r - 1, -1, -1)]
     system = _ref_system(K, [(x, y + 1) for x, y in chain], chain)
     if [[row.get(j, 0) for j in range(c, e)]
-            for row in rows.rows] != system.tolist():
+            for row in rows] != system.tolist():
         faults.append("system")
     return faults
 

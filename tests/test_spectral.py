@@ -250,8 +250,9 @@ def test_staircases_are_slices_of_the_kept_total_differential(monkeypatch):
     # one contiguous range of the kept rows, shared, with no entry left of
     # the chain's columns and right of (p, q)'s only at (p-1, q+1), and the
     # chain's columns are the system laid out from dense rows of K.arrow,
-    # at every spot and page.  A slice is ranked only when it has an entry.
-    # The pivot count does not depend on the order of the blocks, but the
+    # at every spot and page.  A slice is ranked only when it has an entry;
+    # where none is ranked, the kept rows there must be zero and equal the
+    # system all the same.  The pivot count does not depend on the order of the blocks, but the
     # cost of the elimination does, so the order is pinned here.
     complexes = random_complex_suite(2017, 40)
     ranked = []
