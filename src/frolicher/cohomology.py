@@ -1,31 +1,30 @@
 """Cohomological dimension tables of a double complex.
 
 Six theories: column (d_v) cohomology, row (d_h) cohomology, de Rham of the
-total complex, Bott-Chern, Aeppli, and the arithmetic genus.  Everything is
-a dimension count obtained from exact ranks; subspace intersections and sums
-are computed on stacked and concatenated matrices, never via bases of
-harmonic representatives.
+total complex, Bott-Chern, Aeppli, and the arithmetic genus.  Each is a
+dimension count from exact ranks of stored, stacked and sliced matrices and
+of composites, never via bases of harmonic representatives.
 
-The four grid theories share one rule, :meth:`.linalg.Grid.minus`: an entry
-is the spot's dimension less the ranks the theory charges to it.  Each
-entry is dim ker(out) - dim im(into) for a map ``out`` leaving the spot and
-a map ``into`` arriving there, and on a valid complex im(into) is inside
+The four grid theories share one rule, :func:`_tables`: an entry is the
+spot's dimension less the ranks the theory charges to it.  Each entry is
+dim ker(out) - dim im(into) for a map ``out`` leaving the spot and a map
+``into`` arriving there, and on a valid complex im(into) is inside
 ker(out), so the count is exact.  The maps are
 
 * Dolbeault: each stored d_v, charged to both of its ends;
 * row: each stored d_h, charged to both of its ends;
-* Bott-Chern: the stored arrows out of a spot, charged to it: one arrow as
-  stored, two stacked by :func:`.linalg.vstack`, which shares their rows;
-  and each nonzero composite d_h d_v, charged to its target;
-* Aeppli: the same composites, charged to their source, and the map
-  [d_h | d_v] into a spot, charged to it: the spot's rows, placed by
-  :func:`.bicomplex.layout`, of the total differential that the check
-  kept, a row slice that shares its rows.  Its other columns are zero, so
-  the rank is that of the two arrows side by side.
+* Bott-Chern and Aeppli, one pass for the pair: the stored arrows out of a
+  spot, charged to it in Bott-Chern: one arrow as stored, two stacked by
+  :func:`.linalg.vstack`, which shares their rows; each nonzero composite
+  d_h d_v, charged to its target in Bott-Chern and its source in Aeppli;
+  and the map [d_h | d_v] into a spot, charged to it in Aeppli: the spot's
+  rows, placed by :func:`.bicomplex.layout`, of the total differential that
+  the check kept, a row slice that shares its rows.  Its other columns are
+  zero, so the rank is that of the two arrows side by side.
 
-Each map is ranked once, however many spots it is charged to, and no
-matrix is assembled to be ranked, here or by either method of
-:mod:`.spectral`: only the composites are new.
+Each map is ranked once for all the spots and theories it is charged to.
+No matrix is assembled to be ranked, here or by either method of
+:mod:`.spectral`: only the composites are new, each formed once per pair.
 """
 
 from . import linalg
@@ -63,36 +62,31 @@ class BettiVector(linalg.Record):
         return len(self.b)
 
 
-def _table(theory, K, maps):
-    """``K.dims.minus`` the rank of each nonzero ``(matrix, spots)`` pair of
-    ``maps``, ranked once and charged to each of its spots."""
-    return Table(K.dims.minus([(s, r) for m, spots in maps if m.any()
-                               for r in [linalg.rank(m)] for s in spots]),
-                 theory=theory)
-
-
-def _composites(K):
-    """``(d_h d_v, source, target)`` for each pair of stored arrows that
-    compose through the spot above ``source``."""
-    for (s, t), v in K.stored_maps():
-        u = (t[0] + 1, t[1])
-        h = K.arrow(t, u) if s[0] == t[0] else None
-        if h is not None:
-            yield linalg.mat_mul(h, v), s, u
+def _tables(K, theories, maps):
+    """``{theory: Table}``: ``K.dims.minus`` the ranks charged to each theory.
+    A map is ``(matrix, spots, ...)``, one set of spots per theory; a nonzero
+    matrix is ranked once and charged to every spot of every set."""
+    charges = {t: [] for t in theories}
+    for m, *spot_sets in maps:
+        if m.any():
+            r = linalg.rank(m)
+            for charged, spots in zip(charges.values(), spot_sets):
+                charged += [(s, r) for s in spots]
+    return {t: Table(K.dims.minus(c), theory=t) for t, c in charges.items()}
 
 
 def dolbeault(K):
     """Vertical-differential cohomology; its entries are the Hodge numbers."""
     require_valid(K)
-    return _table("dolbeault", K, [(m, arrow) for arrow, m in K.stored_maps()
-                                   if arrow[0][0] == arrow[1][0]])
+    return _tables(K, ["dolbeault"], [(m, a) for a, m in K.stored_maps()
+                                      if a[0][0] == a[1][0]])["dolbeault"]
 
 
 def row_cohomology(K):
     """Horizontal-differential cohomology (the conjugate of dolbeault)."""
     require_valid(K)
-    return _table("row", K, [(m, arrow) for arrow, m in K.stored_maps()
-                             if arrow[0][0] != arrow[1][0]])
+    return _tables(K, ["row"], [(m, a) for a, m in K.stored_maps()
+                                if a[0][0] != a[1][0]])["row"]
 
 
 def de_rham(K):
@@ -104,26 +98,33 @@ def de_rham(K):
                               in zip(maps, ranks, [0] + ranks)]))
 
 
+def _bott_chern_aeppli(K):
+    """Both tables, by name, from one walk of the arrow table, which forms
+    each composite d_h d_v once; the maps are the module docstring's."""
+    require_valid(K)
+    outs, composites = {}, []
+    for (s, t), m in K.stored_maps():
+        outs.setdefault(s, []).append(m)
+        u = (t[0] + 1, t[1])
+        h = K.arrow(t, u) if s[0] == t[0] else None
+        if h is not None:
+            composites.append((linalg.mat_mul(h, m), [u], [s]))
+    out = [(ms[0] if len(ms) == 1 else linalg.vstack(ms), [s], ())
+           for s, ms in outs.items()]
+    into = [(d[a:b], (), [t]) for k in range(K.p_max + K.q_max)
+            for d in [total_differential(K, k)]
+            for t, a, b in layout(K, k + 1)]
+    return _tables(K, ["bott_chern", "aeppli"], out + composites + into)
+
+
 def bott_chern(K):
     """dim(ker d_h ∩ ker d_v) minus rank of d_h d_v into each spot."""
-    require_valid(K)
-    outs = {}
-    for (s, _), m in K.stored_maps():
-        outs.setdefault(s, []).append(m)
-    out = [(ms[0] if len(ms) == 1 else linalg.vstack(ms), [s])
-           for s, ms in outs.items()]
-    into = [(m, [u]) for m, _, u in _composites(K)]
-    return _table("bott_chern", K, out + into)
+    return _bott_chern_aeppli(K)["bott_chern"]
 
 
 def aeppli(K):
     """dim ker(d_h d_v) minus dim(im d_h + im d_v) at each spot."""
-    require_valid(K)
-    out = [(m, [s]) for m, s, _ in _composites(K)]
-    into = [(d[a:b], [t]) for k in range(K.p_max + K.q_max)
-            for d in [total_differential(K, k)]
-            for t, a, b in layout(K, k + 1)]
-    return _table("aeppli", K, out + into)
+    return _bott_chern_aeppli(K)["aeppli"]
 
 
 def arithmetic_genus(K):

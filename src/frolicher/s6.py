@@ -21,8 +21,8 @@ reproduce the closed-form predictions entry for entry.
 from collections import Counter
 from itertools import product, starmap
 
-from .cohomology import (BettiVector, Table, aeppli, arithmetic_genus,
-                         bott_chern, de_rham)
+from .cohomology import (BettiVector, Table, _bott_chern_aeppli,
+                         arithmetic_genus, de_rham)
 from .linalg import Grid, Record
 from .spectral import pages_filtration, stable_page_index
 from .zigzag import canonicalize_shape, mirror_shape, synthesize
@@ -264,10 +264,10 @@ class ModelTables(Record):
 
 
 def compute_model_tables(K):
+    """The engine's tables of ``K``, Bott-Chern and Aeppli in one pass."""
     return ModelTables(
         pages=tuple(pages_filtration(K, stable_page_index(K))),
-        bott_chern=bott_chern(K),
-        aeppli=aeppli(K),
+        **_bott_chern_aeppli(K),
         betti=de_rham(K),
         genus=arithmetic_genus(K),
     )

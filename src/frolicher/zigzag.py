@@ -18,7 +18,7 @@ from functools import total_ordering
 
 from . import linalg
 from .bicomplex import _from_arrows
-from .cohomology import aeppli, bott_chern, de_rham, dolbeault, row_cohomology
+from .cohomology import _bott_chern_aeppli, de_rham, dolbeault, row_cohomology
 from .spectral import pages_filtration, stable_page_index
 
 
@@ -166,8 +166,7 @@ def contribution_profile(shape, grid):
         dolbeault=dolbeault(K),
         row=row_cohomology(K),
         de_rham=de_rham(K),
-        bott_chern=bott_chern(K),
-        aeppli=aeppli(K),
+        **_bott_chern_aeppli(K),
     )
 
 

@@ -26,6 +26,13 @@ def dot(p, q, grid=(3, 3)):
     return realize_shape(canonicalize_shape([(p, q)]), grid)
 
 
+def test_double_complex_repr_names_the_grid_and_total_dimension():
+    K = DoubleComplex(1, 2, [[1, 0, 2], [0, 3, 0]])
+    assert repr(K) == "DoubleComplex(p_max=1, q_max=2, total_dim=6)"
+    assert repr(empty_complex(0, 0)) == (
+        "DoubleComplex(p_max=0, q_max=0, total_dim=0)")
+
+
 def test_validate_zero_complex():
     assert validate(empty_complex(3, 3)) == []
 

@@ -5,7 +5,8 @@ import pytest
 from frolicher.bicomplex import InvalidComplexError, DoubleComplex, dual
 from frolicher.cohomology import (aeppli, arithmetic_genus, bott_chern,
                                   de_rham, dolbeault, row_cohomology)
-from frolicher.s6 import DiamondParams, realize_model
+from frolicher.s6 import (DiamondParams, compute_model_tables,
+                          enumerate_diamonds, predicted_tables, realize_model)
 from frolicher.zigzag import canonicalize_shape, realize_shape
 from genutil import random_complex, ref_mul, ref_tables, spots, total
 
@@ -171,33 +172,48 @@ def test_dolbeault_and_row_rank_each_stored_arrow_once(monkeypatch):
             assert sorted(ranked) == sorted(stored)
 
 
+def composing_pairs(K):
+    """The stored ``(d_v, d_h)`` pairs that compose through the spot above
+    the d_v's source."""
+    return [(v, h) for (s, t), v in K.stored_maps() if s[0] == t[0]
+            for h in [K.arrow(t, (t[0] + 1, t[1]))] if h is not None]
+
+
 def test_bott_chern_and_aeppli_assemble_nothing(monkeypatch):
-    # Bott-Chern ranks the stored arrows out of each spot, stacked, and
-    # Aeppli a row slice of a validated total differential: the only new
-    # matrices are the composites d_h d_v.
-    from frolicher import bicomplex
+    # Bott-Chern and Aeppli are one pass, whichever of them is asked for.
+    # It ranks the stored arrows out of each spot, stacked, each nonzero
+    # composite d_h d_v, and the row slice of a validated total differential
+    # into each spot that an arrow enters: the only new matrices are the
+    # composites, each formed once, also by the callers that want both.
+    from frolicher import bicomplex, zigzag
     rng = random.Random(10)
-    cases = [random_complex(rng, 1 + i % 3, 1 + i % 4, rational=(i % 3 == 0))
-             for i in range(12)]
-    cases += [realize_model(DiamondParams(*d))
-              for d in ((0, 0, 1, 0, 0), (1, 2, 2, 3, 2), (3, 3, 3, 3, 3))]
+    cases = [random_complex(rng, 1 + i % 3, 1 + i % 4, n_squares=2,
+                            rational=(i % 3 == 0)) for i in range(12)]
+    refs = [ref_tables(K) for K in cases]
+    for d in enumerate_diamonds(3):
+        pred = predicted_tables(d)
+        cases.append(realize_model(d))
+        refs.append({"bott_chern": pred.bott_chern.grid,
+                     "aeppli": pred.aeppli.grid})
     expected = []
     for K in cases:
-        ref = ref_tables(K)
+        pairs = composing_pairs(K)
+        nonzero = sum(any(map(any, ref_mul(h, v))) for v, h in pairs)
         sources = {s for (s, _), _ in K.stored_maps()}
         targets = {t for (_, t), _ in K.stored_maps()}
-        composites = sum(
-            any(map(any, ref_mul(K.arrow(t, (t[0] + 1, t[1])), m)))
-            for (s, t), m in K.stored_maps()
-            if s[0] == t[0] and K.arrow(t, (t[0] + 1, t[1])) is not None)
-        expected.append((ref["bott_chern"], len(sources) + composites,
-                         ref["aeppli"], len(targets) + composites))
-    ranked = []
-    rank = linalg.rank
+        expected.append((len(sources) + nonzero + len(targets), len(pairs)))
+    assert sum(n for _, n in expected[:12]) > 0
+    assert sum(n for _, n in expected[12:]) == 1654
+    ranked, multiplied = [], []
+    rank, mat_mul = linalg.rank, linalg.mat_mul
 
     def recorded(a, profile=False):
         ranked.append(a)
         return rank(a, profile)
+
+    def counted(a, b):
+        multiplied.append((a, b))
+        return mat_mul(a, b)
 
     def refuse(*args, **kwargs):
         raise AssertionError("assembled a matrix to rank it")
@@ -205,13 +221,23 @@ def test_bott_chern_and_aeppli_assemble_nothing(monkeypatch):
     monkeypatch.setattr(linalg, "assemble", refuse)
     monkeypatch.setattr(bicomplex, "_assemble", refuse)
     monkeypatch.setattr(linalg, "rank", recorded)
-    for K, (bc, bc_maps, ae, ae_maps) in zip(cases, expected):
-        ranked.clear()
-        assert bott_chern(K).grid == bc
-        assert len(ranked) == bc_maps
-        ranked.clear()
-        assert aeppli(K).grid == ae
-        assert len(ranked) == ae_maps
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    for K, ref, (maps, products) in zip(cases, refs, expected):
+        for theory in (bott_chern, aeppli):
+            ranked.clear()
+            multiplied.clear()
+            assert theory(K).grid == ref[theory.__name__]
+            assert (len(ranked), len(multiplied)) == (maps, products)
+        multiplied.clear()
+        got = compute_model_tables(K)
+        assert len(multiplied) == products
+        assert (got.bott_chern.grid, got.aeppli.grid) == (
+            ref["bott_chern"], ref["aeppli"])
+        monkeypatch.setattr(zigzag, "realize_shape", lambda shape, grid: K)
+        multiplied.clear()
+        prof = zigzag.contribution_profile(None, None)
+        assert len(multiplied) == products
+        assert (prof.bott_chern, prof.aeppli) == (got.bott_chern, got.aeppli)
 
 
 def test_euler_characteristic_identity():

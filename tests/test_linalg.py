@@ -319,6 +319,14 @@ def test_constructors_read_numpy_arrays_by_their_rows():
     assert linalg.as_matrix(np.zeros((3, 0), dtype=int)).shape == (3, 0)
 
 
+def test_matrix_and_grid_reprs_show_their_dense_rows():
+    m = linalg.from_rows(2, 3, [[1, 0, Fraction(-1, 2)], [0, 0, 0]])
+    assert repr(m) == "Matrix([[1, 0, Fraction(-1, 2)], [0, 0, 0]])"
+    assert repr(linalg.Matrix((0, 2), [])) == "Matrix([])"
+    assert repr(linalg.Grid([[1, 2], [3, 4]])) == "Grid([[1, 2], [3, 4]])"
+    assert repr(linalg.Grid([[5]]).minus([((0, 0), 2)])) == "Grid([[3]])"
+
+
 class Pair(linalg.Record):
     __slots__ = ("a", "b")
 

@@ -18,7 +18,7 @@ from frolicher.serialize import (MAX_SIZE, ParseError, complex_to_json,
                                  multiset_to_json, parse_dot_list,
                                  str_to_fraction)
 from frolicher.spectral import pages_filtration
-from frolicher.zigzag import canonicalize_shape
+from frolicher.zigzag import canonicalize_shape, contribution_profile
 from genutil import random_complex, random_multiset
 
 
@@ -439,6 +439,33 @@ def test_cli_zigzag_profile_rejects_oversized_grid(capsys):
               "--grid", "1000000000,1000000000"])
     assert exc.value.code == 2
     assert f"at most {MAX_SIZE} spots" in capsys.readouterr().err
+
+
+def test_cli_zigzag_profile_grid(capsys):
+    # --grid P,Q sets the grid of the shape's complex: the whole stdout is
+    # that of contribution_profile(shape, (4, 4)), on 5x5 grids.
+    shape = canonicalize_shape([(0, 1), (1, 1), (1, 0), (2, 0)])
+    assert main(["zigzag", "profile", "--dots", str(shape),
+                 "--grid", "4,4"]) == 0
+    prof = contribution_profile(shape, (4, 4))
+    tables = [*((f"E_{t.r}", t) for t in prof.pages),
+              ("dolbeault", prof.dolbeault), ("row", prof.row),
+              ("bott_chern", prof.bott_chern), ("aeppli", prof.aeppli)]
+    assert all(t.grid.shape == (5, 5) for _, t in tables)
+    assert capsys.readouterr().out == (
+        f"shape: {shape}\n"
+        + "".join(f"{name}:\n{cli.render_grid(t.grid)}\n"
+                  for name, t in tables)
+        + f"b_k: {' '.join(map(str, prof.de_rham.b))}\n")
+
+
+@pytest.mark.parametrize("grid", ["3", "1,2,3"])
+def test_cli_zigzag_profile_rejects_a_grid_of_other_than_two_numbers(
+        grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zigzag", "profile", "--dots", "(0,0)", "--grid", grid])
+    assert exc.value.code == 2
+    assert "argument --grid: grid must be P,Q" in capsys.readouterr().err
 
 
 def test_cli_s6_check(capsys):
