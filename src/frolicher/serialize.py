@@ -1,13 +1,13 @@
 """On-disk formats: JSON complex documents, zigzag multisets, dot lists.
 
-Rationals serialize as strings ``"n"`` or ``"n/d"``, d > 1, in lowest
-terms.  The parser reads JSON integers and strings ``-?[0-9]+(/[0-9]+)?``
-whose denominator is that of the value in lowest terms, so also ``"01"``,
-``"-0"``, ``"1/1"`` and ``"1/01"``.  Dimension grids are ``dims[p][q]``.
-Zero maps and maps touching a zero-dimensional spot are omitted from the
-document; the parser rejects the latter if present.  Round trip is exact:
-``parse(serialize(K))`` reproduces ``K`` including every matrix entry.
-The parsers refuse documents larger than :data:`MAX_SIZE`, and raise
+One reader reads every number, in ASCII digits: JSON integers, rational
+strings ``-?[0-9]+(/[0-9]+)?`` and dot-list coordinates; a number longer
+than the interpreter converts is a ParseError that names the digit limit.
+Rationals are written as their ``str`` (``"n"`` or ``"n/d"``, d > 1, lowest
+terms) and read back as ``int`` or ``Fraction``.  Grids are ``dims[p][q]``.
+Zero maps and maps touching a zero-dimensional spot are omitted; the parser
+rejects the latter.  ``parse(serialize(K)) == K``, entries included.  The
+parsers refuse documents larger than :data:`MAX_SIZE`, and raise
 :class:`ParseError` on any text or bytes that JSON cannot decode.
 """
 
@@ -16,6 +16,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 from .bicomplex import DoubleComplex
 from .zigzag import canonicalize_shape
@@ -32,31 +33,42 @@ class ParseError(ValueError):
     """Malformed document (structure, not mathematics)."""
 
 
+def _int(digits, what="invalid JSON: an integer literal", text=""):
+    """``int(digits)``, or the ParseError that names the digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{what.format(text)} has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def fraction_to_str(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """The written entry: ``x`` is an ``int`` or a lowest-terms ``Fraction``
+    of denominator > 1, as :class:`~.linalg.Matrix` holds."""
+    return str(x)
 
 
-# The grammar of the rational strings read, wider than what is written.
-_RATIONAL = re.compile(r"-?[0-9]+(?:/([0-9]+))?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def str_to_fraction(s):
+    """A JSON integer as it came, or the ``int`` or ``Fraction`` value of a
+    ``_RATIONAL`` string whose denominator is the one in lowest terms."""
     if _is_int(s):
-        return Fraction(s)
+        return s
     m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
     if m is None:
         raise ParseError(f"not a rational: {s!r:.40}")
-    try:
-        f = Fraction(s)
-    except ZeroDivisionError:
+    what = "bad rational {!r:.40}: a numerator or denominator"
+    n = _int(m[1], what, s)
+    if m[2] is None:
+        return n
+    d = _int(m[2], what, s)
+    if not d:
         raise ParseError(f"bad rational {s!r:.40}: zero denominator")
-    except ValueError:  # the interpreter's digit limit
-        raise ParseError(f"bad rational {s!r:.40}: a numerator or denominator "
-                         f"has more than {sys.get_int_max_str_digits()} digits")
-    if m[1] and int(m[1]) != f.denominator:
-        raise ParseError(f"rational {s!r} is not in lowest terms")
-    return f
+    if gcd(n, d) != 1:
+        raise ParseError(f"rational {s!r:.40} is not in lowest terms")
+    return n if d == 1 else Fraction(n, d)
 
 
 def complex_to_doc(K):
@@ -71,7 +83,7 @@ def complex_to_doc(K):
         doc["d_horiz" if t[0] != s[0] else "d_vert"].append({
             "p": s[0],
             "q": s[1],
-            "m": [[fraction_to_str(x) for x in row] for row in m.tolist()],
+            "m": [list(map(fraction_to_str, row)) for row in m.tolist()],
         })
     return doc
 
@@ -89,16 +101,11 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _int_field(doc, key, minimum=0):
-    v = doc.get(key)
-    _require(_is_int(v) and v >= minimum,
-             f"{key!r} must be an integer >= {minimum}")
-    return v
-
-
 def _grid_fields(doc):
-    p_max = _int_field(doc, "p_max")
-    q_max = _int_field(doc, "q_max")
+    for key in ("p_max", "q_max"):
+        _require(_is_int(doc.get(key)) and doc[key] >= 0,
+                 f"{key!r} must be an integer >= 0")
+    p_max, q_max = doc["p_max"], doc["q_max"]
     _require((p_max + 1) * (q_max + 1) <= MAX_SIZE,
              f"the grid must have at most {MAX_SIZE} spots")
     return p_max, q_max
@@ -150,19 +157,11 @@ def doc_to_complex(doc):
 
 
 def _read_json(data):
-    """``json.loads`` of text or bytes; every way it fails is a ParseError.
-
-    Bad syntax and bad UTF-8 raise a ``ValueError`` subclass, nesting too
-    deep to decode ``RecursionError``, and an integer literal longer than
-    the interpreter converts a plain ``ValueError``.
-    """
+    """``json.loads`` of text or bytes; every way it fails is a ParseError."""
     try:
-        return json.loads(data)
+        return json.loads(data, parse_int=_int)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}")
-    except ValueError:
-        raise ParseError("invalid JSON: an integer literal has more than "
-                         f"{sys.get_int_max_str_digits()} digits")
 
 
 def json_to_complex(data):
@@ -215,16 +214,15 @@ def json_to_multiset(data):
     return doc_to_multiset(_read_json(data))
 
 
-_DOT = r"\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*"
+_DOT = r"\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*"
 _DOT_LIST = re.compile(rf"{_DOT}(?:,{_DOT})*")
 
 
 def parse_dot_list(text):
-    """Parse the textual shape encoding ``(p,q),(p,q),...``."""
+    """Parse the textual shape encoding ``(p,q),(p,q),...`` of ASCII digits."""
     if not _DOT_LIST.fullmatch(text):
         raise ParseError(f"bad dot list {text!r:.40}: "
                          "expected (p,q),(p,q),...")
-    try:
-        return [(int(p), int(q)) for p, q in re.findall(_DOT, text)]
-    except ValueError as exc:
-        raise ParseError(f"bad dot list: {exc}")
+    what = "bad dot list {!r:.40}: a coordinate"
+    return [(_int(p, what, text), _int(q, what, text))
+            for p, q in re.findall(_DOT, text)]

@@ -12,6 +12,7 @@ are preserved exactly.
 """
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -321,6 +322,31 @@ def ref_validate(K):
         check("anticommute", "d_h d_v + d_v d_h is nonzero",
               ((p, q), right, diag), ((p, q), up, diag))
     return out
+
+
+def ref_fraction_to_str(x):
+    """A document entry written from ``Fraction(x)``: its numerator, then
+    ``/`` and its denominator unless that is 1."""
+    f = Fraction(x)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def ref_str_to_fraction(s):
+    """The value of a document entry by matching ``-?[0-9]+(/[0-9]+)?`` and
+    then handing the string to ``Fraction``: a JSON integer, or a string
+    whose written denominator is that of the value in lowest terms.
+    Anything else raises ``ValueError`` or ``ZeroDivisionError``."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    m = isinstance(s, str) and re.fullmatch(r"-?[0-9]+(?:/([0-9]+))?", s)
+    if not m:
+        raise ValueError(f"not a rational: {s!r:.40}")
+    f = Fraction(s)
+    if m[1] and int(m[1]) != f.denominator:
+        raise ValueError(f"{s!r:.40} is not in lowest terms")
+    return f
 
 
 def ref_tables(K):

@@ -472,3 +472,8 @@ def test_pages_of_dual_reflect():
                 for q in range(K.q_max + 1):
                     assert t_dual.grid[p, q] == t_orig.grid[
                         K.p_max - p, K.q_max - q]
+
+
+def test_a_complex_is_unequal_to_another_type():
+    K = square_complex(0, 0, (1, 1))
+    assert K != K.dims and K != complex_to_json(K) and K.dims != K

@@ -375,3 +375,17 @@ def test_a_record_list_field_refuses_item_assignment():
     with pytest.raises(TypeError):
         b.b[0] = 7
     assert list(b.b) == [1, 0, 1] and b == BettiVector((1, 0, 1))
+
+
+def test_values_of_another_type_are_unequal():
+    # Each __eq__ answers NotImplemented for another type, so Python falls
+    # back to identity: a matrix and a grid of the same rows are unequal,
+    # and so are two record types with the same fields.
+    m, g = linalg.from_rows(1, 2, [[1, 2]]), linalg.Grid([[1, 2]])
+    assert m.tolist() == g.tolist()
+    assert m != g and g != m and m != [[1, 2]] and g != ((1, 2),)
+
+    class Other(linalg.Record):
+        __slots__ = ("a", "b")
+
+    assert Pair(1, 2) != Other(1, 2) and Pair(1, 2) != (1, 2)

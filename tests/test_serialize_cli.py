@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from frolicher import cli, linalg, s6
+from frolicher import cli, linalg, s6, serialize
 from frolicher.bicomplex import DoubleComplex
 from frolicher.cli import MAX_BOUND, main
-from frolicher.s6 import DiamondParams, compute_model_tables, realize_model
+from frolicher.s6 import (DiamondParams, compute_model_tables,
+                          enumerate_diamonds, realize_model)
 from frolicher.serialize import (MAX_SIZE, ParseError, complex_to_json,
                                  doc_to_complex, fraction_to_str,
                                  json_to_complex, json_to_multiset,
@@ -19,15 +20,14 @@ from frolicher.serialize import (MAX_SIZE, ParseError, complex_to_json,
                                  str_to_fraction)
 from frolicher.spectral import pages_filtration
 from frolicher.zigzag import canonicalize_shape, contribution_profile
-from genutil import random_complex, random_multiset
+from genutil import change_basis, random_complex, random_multiset
 
 
 def test_fraction_strings():
     assert fraction_to_str(Fraction(-3, 7)) == "-3/7"
     assert fraction_to_str(Fraction(4, 2)) == "2"
     assert str_to_fraction("-3/7") == Fraction(-3, 7)
-    assert str_to_fraction("5") == Fraction(5)
-    assert str_to_fraction(5) == Fraction(5)
+    assert type(str_to_fraction("-3/7")) is Fraction
     with pytest.raises(ParseError):
         str_to_fraction("a/b")
     with pytest.raises(ParseError):
@@ -38,16 +38,67 @@ def test_fraction_strings():
     # wider than what the writer emits.
     for x in (Fraction(0), Fraction(-3, 7), Fraction(10 ** 40, 3)):
         assert str_to_fraction(fraction_to_str(x)) == x
-    for text, x in (("01", 1), ("-0", 0), ("1/1", 1), ("1/01", 1)):
-        assert str_to_fraction(text) == x
+    # An integer, however written, is read as the int that a Matrix holds.
+    for text, x in ((5, 5), ("5", 5), ("01", 1), ("-0", 0), ("1/1", 1),
+                    ("3/1", 3), ("1/01", 1)):
+        value = str_to_fraction(text)
+        assert value == x and type(value) is int
     for bad in ("1e1000000", "1e999999999", "1.5", "+1", " 1", "1_000",
                 "\u0663", "1/-2", "-/2", "1/", "", True, 1.0, [1], "2/4",
                 "0/5"):
         with pytest.raises(ParseError):
             str_to_fraction(bad)
-    with pytest.raises(ParseError, match="^bad rational '1/0': zero "
-                                         "denominator$"):
-        str_to_fraction("1/0")
+    # The grammar list of the README's file-format paragraph, each refused
+    # with its exact message.
+    for bad, msg in REFUSED_RATIONALS.items():
+        with pytest.raises(ParseError) as exc:
+            str_to_fraction(bad)
+        assert str(exc.value) == msg
+
+
+REFUSED_RATIONALS = {
+    "2/4": "rational '2/4' is not in lowest terms",
+    "0/5": "rational '0/5' is not in lowest terms",
+    "1/0": "bad rational '1/0': zero denominator",
+    "0/0": "bad rational '0/0': zero denominator",
+    **{text: f"not a rational: {text!r}"
+       for text in ("+1", " 1", "1.5", "1e3", "", "1/", "/2", "\u0663")},
+    # The one message that once repeated its whole input.
+    "2" * 60 + "/4": f"rational '{'2' * 39} is not in lowest terms",
+}
+
+
+@pytest.fixture(scope="module")
+def bound3_documents():
+    """The 316 bound-3 models and a few rational complexes, with their
+    documents."""
+    rng = random.Random(62)
+    complexes = [realize_model(d) for d in enumerate_diamonds(3)]
+    complexes += [random_complex(rng, 3, 3, rational=True) for _ in range(6)]
+    complexes += [change_basis(rng, K, rational=True) for K in complexes[:6]]
+    return [(K, complex_to_json(K)) for K in complexes]
+
+
+def test_reading_parses_no_string_twice(bound3_documents, monkeypatch):
+    # A rational is built from the integers of its own match: Fraction is
+    # never handed the string to parse again.
+    def no_strings(*args):
+        assert not any(isinstance(a, str) for a in args), args
+        return Fraction(*args)
+
+    monkeypatch.setattr(serialize, "Fraction", no_strings)
+    assert any("/" in text for _, text in bound3_documents)
+    for K, text in bound3_documents:
+        assert json_to_complex(text) == K
+
+
+def test_writing_builds_no_fraction(bound3_documents, monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args!r}")
+
+    monkeypatch.setattr(serialize, "Fraction", refuse)
+    for K, text in bound3_documents:
+        assert complex_to_json(K) == text
 
 
 def test_round_trip_with_rationals():
@@ -119,7 +170,8 @@ def test_parse_dot_list():
     assert parse_dot_list(" ( 2 , 0 ) ") == [(2, 0)]
     assert parse_dot_list("(0,0) ,( 1,0 ),(1,1)") == [(0, 0), (1, 0), (1, 1)]
     for bad in ("", "(1,2", "1,2", "(1,2)x", "(1,2),,(2,2)", "(1,2),",
-                ",(1,2)", "(1,2)(2,2)", "(-1,2)", f"({'1' * 5000},0)"):
+                ",(1,2)", "(1,2)(2,2)", "(-1,2)", f"({'1' * 5000},0)",
+                "(\u0660,\u0660)", "(\uff11,0)"):
         with pytest.raises(ParseError):
             parse_dot_list(bad)
 
@@ -246,10 +298,21 @@ def test_cli_rejects_exponent_rationals_at_once(entry, tmp_path):
 
 
 def test_cli_zigzag_profile_rejects_overlong_dot(capsys):
-    argv = ["zigzag", "profile", "--dots", f"({'1' * 5000},0)"]
+    # The coordinate is read as a document's numbers are: Python's advice
+    # to call sys.set_int_max_str_digits() once ended this line.
+    argv = ["zigzag", "profile", "--dots", f"({'9' * 5000},0)"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert one_error_line(err) and "bad dot list" in err
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "sys." not in err
+
+
+def test_cli_zigzag_profile_refuses_non_ascii_digits(capsys):
+    # "\d" once read the Arabic-Indic zeros as the dot (0, 0).
+    assert main(["zigzag", "profile", "--dots", "(\u0660,\u0660)"]) == 2
+    err = capsys.readouterr().err
+    assert one_error_line(err) and err.startswith("error: bad dot list ")
 
 
 def validate_doc(tmp_path, capsys, doc):

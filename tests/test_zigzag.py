@@ -230,3 +230,10 @@ def test_square_summand_changes_nothing():
     r = stable_page_index(K)
     for a, b in zip(pages_filtration(K, r), pages_filtration(Ksq, r)):
         assert a.grid == b.grid
+
+
+def test_shapes_order_only_among_shapes():
+    shape = canonicalize_shape([(0, 1), (1, 1)])
+    for mixed in ([1, shape], [shape, 1]):
+        with pytest.raises(TypeError):
+            sorted(mixed)
