@@ -21,6 +21,7 @@ from frolicher import linalg
 from frolicher.linalg import Grid
 from frolicher.bicomplex import (DoubleComplex, Violation, direct_sum,
                                  empty_complex, total_differential)
+from frolicher.s6 import enumerate_diamonds, realize_model
 from frolicher.zigzag import canonicalize_shape, realize_shape, synthesize
 
 
@@ -591,3 +592,12 @@ def random_complex_suite(seed, count, grids=((2, 2), (3, 3), (3, 2), (4, 4),
                 break
         out.append(K)
     return out
+
+
+def dense_models(bound):
+    """The models of ``enumerate_diamonds(bound)``, in its order, each under
+    a 4n-step change of basis drawn from one ``Random(2026)``, so every
+    staircase is dense, not 0/1/-1."""
+    rng = random.Random(2026)
+    return [change_basis(rng, realize_model(d), ops=lambda n: 4 * n)
+            for d in enumerate_diamonds(bound)]

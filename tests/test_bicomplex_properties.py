@@ -68,11 +68,43 @@ def test_direct_sum_adds_dims_and_tables(A, B):
             [(1, theory(A).grid), (1, theory(B).grid)], shape)
 
 
+def checked_report(K):
+    """validate(K), once it has equalled the per-spot reference, returned an
+    equal new list when called again, and made require_valid raise exactly
+    when it is non-empty.  The reference decides every arrow's fit itself,
+    where the report is the one that the constructor's check kept."""
+    report = validate(K)
+    assert report == ref_validate(K)
+    again = validate(K)
+    assert again == report and again is not report
+    if report:
+        with pytest.raises(InvalidComplexError):
+            require_valid(K)
+    else:
+        require_valid(K)
+    return report
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 4))
 def test_validate_matches_the_per_spot_reference(seed, p_max, q_max):
-    K = corrupted_complex(random.Random(seed), p_max, q_max)
-    assert validate(K) == ref_validate(K)
+    checked_report(corrupted_complex(random.Random(seed), p_max, q_max))
+
+
+@pytest.mark.wide
+def test_validate_matches_the_per_spot_reference_wide():
+    # 10,000 corrupted complexes on grids from 1 x 1 to 4 x 4: changed
+    # entries, misfits of both kinds and new arrows.  At least 1,000 reports
+    # must hold both a shape violation and a d^2 one.
+    rng = random.Random(2017)
+    suite = [corrupted_complex(rng, rng.randint(1, 4), rng.randint(1, 4))
+             for _ in range(10000)]
+    assert len(suite) == 10000
+    both = 0
+    for K in suite:
+        axioms = {v.axiom for v in checked_report(K)}
+        both += "shape" in axioms and len(axioms) > 1
+    assert both >= 1000
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -77,12 +78,13 @@ def test_rank_profile_counts_leading_ranks(seed):
                     linalg.from_rows(i, j, [row[:j] for row in e[:i]]))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_nullspace_is_the_documented_basis(seed):
-    """Exactly the primitive free-column vectors, positive at their column."""
+def small_kernel_suite(seed):
+    """72 small matrices of six kinds: int, rational, int with a row made
+    zero, with no rows, and int with a duplicate or a dependent row."""
     rng = random.Random(seed + 300)
     kinds = ("int", "fraction", "zero row", "no rows", "duplicate row",
              "dependent row")
+    suite = []
     for kind in kinds * 12:
         r, c = rng.randint(1, 6), rng.randint(1, 7)
         if kind == "fraction":
@@ -101,10 +103,45 @@ def test_nullspace_is_the_documented_basis(seed):
                     for _ in range(2))
             e.insert(rng.randrange(r + 1),
                      [a * s + b * t for s, t in zip(x, y)])
-        m = linalg.from_rows(len(e), c, e)
+        suite.append(linalg.from_rows(len(e), c, e))
+    return suite
+
+
+def wide_kernel_suite():
+    """2,000 seeded matrices: int, rational and low-rank rational products,
+    and int matrices and low-rank products with entries past 64 bits."""
+    rng = random.Random(2017)
+    big = 2 ** 70
+    kinds = [
+        lambda r, k, c: random_int_matrix(rng, r, c),
+        lambda r, k, c: random_fraction_matrix(rng, r, c),
+        lambda r, k, c: linalg.mat_mul(random_fraction_matrix(rng, r, k),
+                                       random_int_matrix(rng, k, c)),
+        lambda r, k, c: random_int_matrix(rng, r, c, mag=big),
+        lambda r, k, c: linalg.mat_mul(random_int_matrix(rng, r, k, big),
+                                       random_int_matrix(rng, k, c, big)),
+    ]
+    suite = []
+    for i in range(2000):
+        r, c = rng.randint(0, 10), rng.randint(1, 12)
+        suite.append(kinds[i % 5](r, rng.randint(0, min(r, c)), c))
+    return suite
+
+
+@pytest.mark.parametrize("suite, size", [
+    *(pytest.param(partial(small_kernel_suite, seed), 72, id=str(seed))
+      for seed in range(3)),
+    pytest.param(wide_kernel_suite, 2000, id="wide", marks=pytest.mark.wide),
+])
+def test_nullspace_is_the_documented_basis(suite, size):
+    """Exactly the primitive free-column vectors, positive at their column.
+    nullspace back-substitutes the eliminator's forward rows itself."""
+    matrices = suite()
+    assert len(matrices) == size
+    for m in matrices:
         expected = ref_nullspace(m)
         basis = linalg.nullspace(m)
-        assert basis.shape == (c, len(expected))
+        assert basis.shape == (m.shape[1], len(expected))
         assert [list(col) for col in zip(*basis.tolist())] == expected
 
 

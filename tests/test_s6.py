@@ -116,8 +116,8 @@ def test_family_counts_etesi():
                       "z4b": 0}
 
 
-def test_catalog_holds_iff_every_family_count_is_non_negative():
-    box = [DiamondParams(*t) for t in product(range(5), repeat=5)]
+def test_catalog_holds_iff_every_family_count_is_non_negative(bound=4):
+    box = [DiamondParams(*t) for t in product(range(bound + 1), repeat=5)]
     for d in box:
         counts_hold = all(v >= 0 for v in family_counts(d).values())
         assert check_constraints(d).all_hold == counts_hold
@@ -135,7 +135,14 @@ def test_catalog_holds_iff_every_family_count_is_non_negative():
     for assume_a0, h11_zero_only in product((False, True), repeat=2):
         expected = [d for d in box if not (h11_zero_only and d.h11)
                     and check_constraints(d, assume_a0).all_hold]
-        assert enumerate_diamonds(4, assume_a0, h11_zero_only) == expected
+        assert enumerate_diamonds(bound, assume_a0, h11_zero_only) == expected
+
+
+@pytest.mark.wide
+def test_catalog_holds_iff_every_family_count_is_non_negative_wide():
+    # All 16,807 tuples of [0,6]^5, of which 4,655 are admissible.
+    assert len(enumerate_diamonds(6)) == 4655
+    test_catalog_holds_iff_every_family_count_is_non_negative(6)
 
 
 def test_model_multiset_etesi():
@@ -291,10 +298,20 @@ def test_h11_zero_family_tables():
         assert d.h20 == d.h10 + d.h02 + 1
 
 
-def test_verify_model_samples():
-    rng = random.Random(32)
-    for d in rng.sample(enumerate_diamonds(2), 12):
-        assert verify_model(d) == []
+def test_verify_model_samples(diamonds=None):
+    if diamonds is None:
+        diamonds = random.Random(32).sample(enumerate_diamonds(2), 12)
+    for d in diamonds:
+        assert verify_model(d) == [], d
+
+
+@pytest.mark.wide
+def test_verify_model_samples_wide():
+    # Every model of the bound-4 box: past the benchmark's pool and the
+    # bound of 3 that the other s6 tests sweep.
+    diamonds = enumerate_diamonds(4)
+    assert len(diamonds) == 925
+    test_verify_model_samples(diamonds)
 
 
 def test_model_tables_do_not_depend_on_the_basis():

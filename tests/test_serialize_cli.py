@@ -20,7 +20,8 @@ from frolicher.serialize import (MAX_SIZE, ParseError, complex_to_json,
                                  str_to_fraction)
 from frolicher.spectral import pages_filtration
 from frolicher.zigzag import canonicalize_shape, contribution_profile
-from genutil import change_basis, random_complex, random_multiset
+from genutil import (change_basis, random_complex, random_multiset,
+                     ref_fraction_to_str, ref_str_to_fraction)
 
 
 def test_fraction_strings():
@@ -112,11 +113,56 @@ def test_round_trip_with_rationals():
     assert doc["d_horiz"][0]["m"] == [["1/2", "-1/3"]]
 
 
-def test_round_trip_random_complexes():
-    rng = random.Random(60)
-    for i in range(30):
-        K = random_complex(rng, 2 + i % 2, 2, rational=(i % 3 == 0))
-        assert json_to_complex(complex_to_json(K)) == K
+EDGE_RATIONALS = [
+    5, "5", "01", "-0", "1/1", "3/1", "1/01", "-3/7", "0/1", "2/4", "0/5",
+    "1/0", "0/0", "+1", " 1", "1.5", "1e3", "", "1/", "/2", "\u0663",
+    "2" * 60 + "/4", "9" * 5000, "1/" + "3" * 5000, True, None]
+
+
+def verdict(read, refusals, s):
+    try:
+        return read(s)
+    except refusals:
+        return "refused"
+
+
+def test_round_trip_random_complexes(complexes=None):
+    # Each complex reads back equal from its document, every stored entry
+    # read is an int or a Fraction of denominator > 1, and every entry
+    # string is the one genutil.ref_fraction_to_str writes from
+    # Fraction(x)'s numerator and denominator.  The grammar's edge inputs
+    # get equal values and equal verdicts from str_to_fraction and
+    # genutil.ref_str_to_fraction, which matches the grammar and then
+    # hands the string to Fraction.
+    if complexes is None:
+        rng = random.Random(60)
+        complexes = [random_complex(rng, 2 + i % 2, 2, rational=(i % 3 == 0))
+                     for i in range(30)]
+    for K in complexes:
+        text = complex_to_json(K)
+        back = json_to_complex(text)
+        assert back == K
+        assert all(type(x) is int
+                   or type(x) is Fraction and x.denominator > 1
+                   for _, m in back.stored_maps()
+                   for row in m.rows for x in row.values())
+        doc = json.loads(text)
+        written = {"d_horiz": [], "d_vert": []}
+        for (s, t), m in K.stored_maps():
+            written["d_horiz" if t[0] != s[0] else "d_vert"].append(
+                [[ref_fraction_to_str(x) for x in row] for row in m.tolist()])
+        assert written == {key: [item["m"] for item in doc[key]]
+                           for key in written}
+    for s in EDGE_RATIONALS:
+        assert (verdict(str_to_fraction, ParseError, s)
+                == verdict(ref_str_to_fraction,
+                           (ValueError, ZeroDivisionError), s)), str(s)[:40]
+
+
+@pytest.mark.wide
+def test_round_trip_random_complexes_wide(wide_suite, dense_bound3_models):
+    assert (len(wide_suite), len(dense_bound3_models)) == (2000, 316)
+    test_round_trip_random_complexes(wide_suite + dense_bound3_models)
 
 
 def test_serializer_omits_zero_and_degenerate_maps():

@@ -5,17 +5,19 @@ import pytest
 
 from frolicher.bicomplex import (DoubleComplex, InvalidComplexError, layout,
                                  total_differential)
-from frolicher.cohomology import (Table, aeppli, bott_chern, de_rham,
-                                  dolbeault, row_cohomology)
+from frolicher.cohomology import (Table, aeppli, arithmetic_genus,
+                                  bott_chern, de_rham, dolbeault,
+                                  row_cohomology)
 from frolicher.s6 import (DiamondParams, enumerate_diamonds,
                           predicted_tables, realize_model)
 from frolicher.spectral import (_bars, _cycles, degeneration_page,
                                 euler_char_of_page, pages_explicit,
                                 pages_filtration, stable_page_index)
 from frolicher.zigzag import canonicalize_shape, enumerate_shapes, realize_shape
-from genutil import (chain_slice_faults, change_basis, random_complex,
-                     random_complex_suite, ref_bars, ref_cycles,
-                     ref_explicit_entry, ref_rank, shrinks, spots)
+from genutil import (chain_slice_faults, change_basis, dense_models,
+                     random_complex, random_complex_suite, ref_bars,
+                     ref_cycles, ref_explicit_entry, ref_rank, ref_tables,
+                     shrinks, spots)
 
 from frolicher import linalg
 
@@ -138,24 +140,30 @@ def test_degeneration_page_matches_explicit_pages():
     assert seen == {1, 2, 3, 4}
 
 
-def test_bars_match_the_rank_count_reference():
+def test_bars_match_the_rank_count_reference(suite=None):
     # The barcode against genutil.ref_bars, which counts the pairs between
     # two spots from ranks of lower-left blocks of a dense D_k laid out from
     # K.arrow: on random complexes, every short shape, and the 78 bound-2
     # models under a 4n-step unimodular map, whose D_k are dense.
-    rng = random.Random(2026)
-    complexes = (random_complex_suite(2017, 200)
-                 + [realize_shape(s, (3, 3))
-                    for s in enumerate_shapes((3, 3), 6)]
-                 + [change_basis(rng, realize_model(d), ops=lambda n: 4 * n)
-                    for d in enumerate_diamonds(2)])
-    assert len(complexes) == 200 + 82 + 78
+    if suite is None:
+        suite = random_complex_suite(2017, 200)
+    complexes = [*suite,
+                 *(realize_shape(s, (3, 3))
+                   for s in enumerate_shapes((3, 3), 6)),
+                 *dense_models(2)]
+    assert len(complexes) == len(suite) + 82 + 78
     long_bars = 0
     for K in complexes:
         bars = ref_bars(K)
         assert sorted(_bars(K)) == bars
         long_bars += any(b[0] - d[0] >= 2 for b, d in bars)
     assert long_bars > 100
+
+
+@pytest.mark.wide
+def test_bars_match_the_rank_count_reference_wide(wide_suite):
+    assert len(wide_suite) == 2000
+    test_bars_match_the_rank_count_reference(wide_suite)
 
 
 def test_pages_ignore_the_basis_within_each_spot():
@@ -228,12 +236,15 @@ def test_skip_rules_are_sound():
     assert zero > 1000 and dead_end > 100 and no_arrow > 10 and no_d_v >= 3
 
 
-def test_explicit_entries_match_the_kernel_definition():
+def test_explicit_entries_match_the_kernel_definition(complexes=None):
     # Every entry of pages_explicit, past the stable page, against dim(Z_r
     # + B_r) - dim B_r from kernel bases, a product and a stack of dense
     # rows, which also checks that B_r lies in Z_r; and the pivot count
-    # dim Z_r at every spot and page against the reference Z_r.
-    for K in skip_rule_complexes():
+    # dim Z_r at every spot and page against the reference Z_r.  None of
+    # the references runs the package's eliminator.
+    if complexes is None:
+        complexes = skip_rule_complexes()
+    for K in complexes:
         for t in pages_explicit(K, stable_page_index(K) + 1):
             r = t.r
             for p, q in spots(K):
@@ -243,7 +254,15 @@ def test_explicit_entries_match_the_kernel_definition():
                         == ref_rank(ref_cycles(K, p, q, r))), (p, q, r)
 
 
-def test_staircases_are_slices_of_the_kept_total_differential(monkeypatch):
+@pytest.mark.wide
+def test_explicit_entries_match_the_kernel_definition_wide(wide_suite):
+    complexes = wide_suite[:400]  # random_complex_suite(2017, 400)
+    assert len(complexes) == 400
+    test_explicit_entries_match_the_kernel_definition(complexes)
+
+
+def test_staircases_are_slices_of_the_kept_total_differential(
+        monkeypatch, complexes=None):
     # layout(K, k) tiles the columns of D_k and the rows of D_{k-1} with the
     # spots of degree k in decreasing p, the filtration order.  _cycles
     # ranks D_{p+q} at the rows of its chain's targets, i = r-1 down to 0:
@@ -252,10 +271,13 @@ def test_staircases_are_slices_of_the_kept_total_differential(monkeypatch):
     # chain's columns are the system laid out from dense rows of K.arrow,
     # at every spot and page.  A slice is ranked only when it has an entry;
     # where none is ranked, the kept rows there must be zero and equal the
-    # system all the same.  The pivot count does not depend on the order of the blocks, but the
-    # cost of the elimination does, so the order is pinned here.
-    complexes = random_complex_suite(2017, 40)
+    # system all the same, so a kept D_k that lost entries fails there
+    # too.  The pivot count does not depend on the order of the blocks, but
+    # the cost of the elimination does, so the order is pinned here.
+    if complexes is None:
+        complexes = random_complex_suite(2017, 40)
     ranked = []
+    slices = 0
     rank = linalg.rank
 
     def recorded(a, profile=False):
@@ -284,6 +306,17 @@ def test_staircases_are_slices_of_the_kept_total_differential(monkeypatch):
                 assert len(ranked) <= 1 and all(a.any() for a in ranked)
                 assert chain_slice_faults(K, p, q, r, (ranked or [None])[0]
                                           ) == [], (p, q, r)
+                slices += len(ranked)
+    assert slices
+
+
+@pytest.mark.wide
+def test_staircases_are_slices_of_the_kept_total_differential_wide(
+        monkeypatch, wide_suite):
+    complexes = wide_suite[:400]  # random_complex_suite(2017, 400)
+    assert len(complexes) == 400
+    test_staircases_are_slices_of_the_kept_total_differential(monkeypatch,
+                                                              complexes)
 
 
 def test_explicit_pages_only_rank(monkeypatch):
@@ -363,21 +396,27 @@ def test_explicit_pages_read_no_pivot_origin(monkeypatch):
         K, stable_page_index(K))
 
 
-def test_densely_scrambled_models():
-    # Every spot of the 78 bound-2 models under a 4n-step unimodular map:
-    # the staircases are dense there, not 0/1/-1.  The pages do not depend
-    # on the basis, so both methods must still give the closed forms.
-    rng = random.Random(2026)
-    diamonds = enumerate_diamonds(2)
-    assert len(diamonds) == 78
-    for d in diamonds:
-        K = change_basis(rng, realize_model(d), ops=lambda n: 4 * n)
+def test_densely_scrambled_models(bound=2, models=None):
+    # Every spot of the 78 bound-2 models (316 of bound 3 in the wide case)
+    # under a 4n-step unimodular map: the staircases are dense there, not
+    # 0/1/-1.  The pages do not depend on the basis, so both methods must
+    # still give the closed forms.
+    diamonds = enumerate_diamonds(bound)
+    if models is None:
+        models = dense_models(bound)
+    assert len(models) == len(diamonds) == {2: 78, 3: 316}[bound]
+    for d, K in zip(diamonds, models):
         r = stable_page_index(K)
         pages = pages_filtration(K, r)
         assert pages_explicit(K, r) == pages, d
         pred = predicted_tables(d)
         assert (pages[0], pages[1]) == (pred.e1, pred.e2), d
         assert all(t.grid == pred.e3plus.grid for t in pages[2:]), d
+
+
+@pytest.mark.wide
+def test_densely_scrambled_models_wide(dense_bound3_models):
+    test_densely_scrambled_models(3, dense_bound3_models)
 
 
 def test_explicit_pages_stop_solving_at_the_stable_page(monkeypatch):
@@ -494,29 +533,67 @@ def test_pages_from_e3_on_share_one_grid():
             assert all(t.grid is pages[2].grid for t in pages[3:]), d
 
 
-def test_a_page_shares_its_grid_exactly_when_nothing_changed():
-    # A page that a differential changes loses a count somewhere, so equal
-    # consecutive grids (page 0 being the dims) must be one object, and
-    # unequal ones two.
-    for K in random_complex_suite(2017, 200):
-        r = stable_page_index(K) + 1
-        for method in (pages_filtration, pages_explicit):
-            grids = [K.dims] + [t.grid for t in method(K, r)]
+def test_a_page_shares_its_grid_exactly_when_nothing_changed(suite=None):
+    # Both methods run to three pages past the stable page s.  They must
+    # agree, and page s must abut to de Rham cohomology.  A page that a
+    # differential changes loses a count somewhere, so equal consecutive
+    # grids (page 0 being the dims) must be one object, and unequal ones
+    # two.  Each page past s must be page s's grid object: the filtration
+    # method charges each bar by its length, and no bar reaches past s;
+    # the explicit method stops solving at s.
+    if suite is None:
+        suite = random_complex_suite(2017, 200)
+    for K in suite:
+        s = stable_page_index(K)
+        pages = pages_filtration(K, s + 3)
+        explicit = pages_explicit(K, s + 3)
+        assert explicit == pages
+        grid = pages[s - 1].grid
+        assert [sum(grid[p, k - p] for p in range(K.p_max + 1)
+                    if 0 <= k - p <= K.q_max)
+                for k in range(K.p_max + K.q_max + 1)] == list(de_rham(K))
+        for method in (pages, explicit):
+            grids = [K.dims] + [t.grid for t in method]
             for a, b in zip(grids, grids[1:]):
                 assert (b is a) == (b == a)
+            assert all(g is grids[s] for g in grids[s + 1:])
 
 
-def test_every_table_is_a_checked_rectangle_of_ints():
-    # The engine derives its counts by Grid.minus, which checks each charge,
-    # not each cell; the public constructor, which checks every cell, must
-    # rebuild the same grid.
-    for K in random_complex_suite(2017, 200):
+@pytest.mark.wide
+def test_a_page_shares_its_grid_exactly_when_nothing_changed_wide(
+        wide_suite):
+    assert len(wide_suite) == 2000
+    test_a_page_shares_its_grid_exactly_when_nothing_changed(wide_suite)
+
+
+def test_every_table_is_a_checked_rectangle_of_ints(complexes=None):
+    # The four grid theories and the arithmetic genus against
+    # genutil.ref_tables, which builds every map from zero-filled dense rows
+    # and ranks it with its own Fraction elimination.  The engine derives
+    # its counts by Grid.minus, which checks each charge, not each cell; the
+    # public constructor, which checks every cell, must rebuild the same
+    # grid, for every page of both methods too.
+    if complexes is None:
+        complexes = random_complex_suite(2017, 200)
+    theories = {"dolbeault": dolbeault, "row": row_cohomology,
+                "bott_chern": bott_chern, "aeppli": aeppli}
+    for K in complexes:
+        ref = ref_tables(K)
+        assert arithmetic_genus(K) == ref["genus"]
+        tables = [theory(K) for theory in theories.values()]
+        for name, t in zip(theories, tables):
+            assert t.grid == ref[name] and t.grid.shape == ref[name].shape
         r = stable_page_index(K) + 1
-        tables = (pages_filtration(K, r) + pages_explicit(K, r)
-                  + [theory(K) for theory in (dolbeault, row_cohomology,
-                                              bott_chern, aeppli)])
-        for t in tables:
+        for t in tables + pages_filtration(K, r) + pages_explicit(K, r):
             g = t.grid
             assert all(type(x) is int for row in g for x in row)
             rebuilt = linalg.Grid(g.tolist())
             assert g == rebuilt and g.shape == rebuilt.shape
+
+
+@pytest.mark.wide
+def test_every_table_is_a_checked_rectangle_of_ints_wide(
+        wide_suite, dense_bound3_models):
+    assert (len(wide_suite), len(dense_bound3_models)) == (2000, 316)
+    test_every_table_is_a_checked_rectangle_of_ints(
+        wide_suite + dense_bound3_models)
