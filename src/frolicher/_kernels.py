@@ -25,6 +25,11 @@ so the origins too are fixed by the ordered input alone, whatever the
 reduction steps were.  ``linalg.rank`` returns the (origin, pivot) pairs as
 the rank profile; fed the rows of a filtered boundary matrix bottom-up,
 they are the persistence pairs (see :mod:`.spectral`).
+
+One loop, :func:`reduce_rows`, does every reduction and returns two maps
+keyed by pivot column, unsorted.  ``linalg.rank`` counts them, or lists the
+profile from the origins alone; :func:`eliminate` sorts them into the
+echelon lists that ``linalg.nullspace`` back-substitutes.
 """
 
 from math import gcd, lcm
@@ -61,22 +66,21 @@ def _clear(row, col, pivot):
     return _primitive(out) if out else out
 
 
-def eliminate(rows):
-    """Forward echelon form of ``rows``; returns ``(pivots, echelon,
-    origins)``.
+def reduce_rows(rows):
+    """The one reduction loop: ``(pivot_rows, origin)``, two maps keyed by
+    pivot column, in the order the pivots were created.
 
     Each input row is a mapping from column index to a nonzero int or
     ``Fraction``; an empty row creates no pivot.  The input is not modified.
-
-    ``pivots`` lists the pivot columns in increasing order and
-    ``echelon[i]`` is the pivot row of ``pivots[i]``: a primitive integer
-    mapping with a positive entry at its pivot and zero in every column
-    left of it.  ``origins[i]`` is the position in ``rows`` of the input row
-    that created ``pivots[i]``.  Pivots and origins depend on ``rows``
-    alone; the echelon rows also depend on the order of ``rows``.  A row
-    with one entry enters as ``{col: 1}``, with no gcd: its primitive form
-    up to sign, and as clearing is linear and each new pivot row's sign is
-    normalised, the output is the same as from its primitive form.
+    ``pivot_rows[c]`` is the pivot row of column ``c``: a primitive integer
+    mapping with a positive entry at ``c`` and zero in every column left of
+    it.  ``origin[c]`` is the position in ``rows`` of the input row that
+    created ``c``.  Pivots and origins depend on ``rows`` alone; the pivot
+    rows also depend on the order of ``rows``.  A row with one entry enters
+    as ``{col: 1}``, with no gcd: its primitive form up to sign, and as
+    clearing is linear and each new pivot row's sign is normalised, the
+    output is the same as from its primitive form.  An integer row with
+    more than one entry whose gcd is 1 enters as it is.
     """
     pivot_rows = {}
     origin = {}
@@ -87,7 +91,12 @@ def eliminate(rows):
             (col,) = raw
             row = {col: 1}
         else:
-            row = _integer_row(raw)
+            try:
+                g = gcd(*raw.values())
+            except TypeError:  # gcd refuses a Fraction entry
+                row = _integer_row(raw)
+            else:
+                row = raw if g == 1 else {j: x // g for j, x in raw.items()}
             col = min(row)
         while col in pivot_rows:
             row = _clear(row, col, pivot_rows[col])
@@ -99,6 +108,18 @@ def eliminate(rows):
                 row = {j: -x for j, x in row.items()}
             pivot_rows[col] = row
             origin[col] = index
+    return pivot_rows, origin
+
+
+def eliminate(rows):
+    """Forward echelon form of ``rows``; returns ``(pivots, echelon,
+    origins)``: :func:`reduce_rows`'s two maps listed by pivot column.
+
+    ``pivots`` lists the pivot columns in increasing order,
+    ``echelon[i]`` is the pivot row of ``pivots[i]`` and ``origins[i]`` the
+    position in ``rows`` of the input row that created it.
+    """
+    pivot_rows, origin = reduce_rows(rows)
     pivots = sorted(pivot_rows)
     return (pivots, [pivot_rows[c] for c in pivots],
             [origin[c] for c in pivots])

@@ -24,7 +24,6 @@ the cohomology: each is made once.
 Values are immutable once built; every operation here is a pure function.
 """
 
-from itertools import accumulate
 from types import MappingProxyType
 
 from . import linalg
@@ -84,6 +83,7 @@ class DoubleComplex(linalg._Immutable):
         _set(self, "p_max", int(p_max))
         _set(self, "q_max", int(q_max))
         _set(self, "dims", grid)
+        cells = list(grid)
         arrows, misfits = {}, {}
         for kind, (dp, dq), maps in (("horiz", (1, 0), d_horiz or {}),
                                      ("vert", (0, 1), d_vert or {})):
@@ -92,7 +92,7 @@ class DoubleComplex(linalg._Immutable):
                 s, t = (int(p), int(q)), (int(p) + dp, int(q) + dq)
                 if min(s) < 0 or t[0] > p_max or t[1] > q_max:
                     misfits[s, t] = f"d_{kind} leaves the grid"
-                elif m.shape != (grid[t], grid[s]):
+                elif m.shape != (cells[t[0]][t[1]], cells[s[0]][s[1]]):
                     misfits[s, t] = (f"d_{kind} is {m.shape[0]}x{m.shape[1]}, "
                                      f"expected {grid[t]}x{grid[s]}")
                 elif not m.any():
@@ -168,21 +168,37 @@ _RANK = {step: i for i, step in enumerate(_AXIOMS)}
 
 
 def _assemble(K, misfits):
-    """Each degree's spot blocks (p descending) and the D_k they block."""
-    degrees, place = [], {}
+    """Each degree's spot blocks (p descending) and the D_k they block.
+
+    All degrees are laid out once, and each stored entry of an arrow that
+    fits is written once, straight into its row of D_k: an arrow that fits
+    has the shape of its block, which the constructor checked, so no block
+    is built or checked here."""
+    dims = list(K.dims)
+    degrees, rows, offset = [], [], {}
     for k in range(K.p_max + K.q_max + 2):
-        spots = [(p, k - p)
-                 for p in range(min(K.p_max, k), max(0, k - K.q_max) - 1, -1)]
-        stops = list(accumulate([K.dims[s] for s in spots]))
-        degrees.append(tuple(zip(spots, [0, *stops], stops)))
-        place.update(zip(spots, range(len(spots))))
-    blocks = [{} for _ in degrees]
+        spots, start = [], 0
+        for p in range(min(K.p_max, k), max(0, k - K.q_max) - 1, -1):
+            stop = start + dims[p][k - p]
+            spots.append(((p, k - p), start, stop))
+            offset[p, k - p] = start
+            start = stop
+        degrees.append(tuple(spots))
+        # Every row starts as one shared empty dict, never written: a row
+        # gets its own dict when an arrow first writes to it.
+        rows.append([{}] * start)
     for (s, t), m in K.stored_maps():
         if (s, t) not in misfits:
-            blocks[s[0] + s[1]][place[t], place[s]] = m
-    sizes = [[b - a for _, a, b in spots] for spots in degrees]
-    return degrees, [linalg.assemble(rows, cols, blk)
-                     for rows, cols, blk in zip(sizes[1:], sizes, blocks)]
+            c, tgt = offset[s], rows[t[0] + t[1]]
+            for i, row in enumerate(m.rows, offset[t]):
+                if row:
+                    out = tgt[i]
+                    if not out:
+                        out = tgt[i] = {}
+                    for j, x in row.items():
+                        out[c + j] = x
+    return degrees, [linalg.Matrix((len(tgt), len(src)), tgt)
+                     for src, tgt in zip(rows, rows[1:])]
 
 
 def _check(K, misfits):

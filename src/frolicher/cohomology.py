@@ -28,7 +28,7 @@ No matrix is assembled to be ranked, here or by either method of
 """
 
 from . import linalg
-from .bicomplex import layout, require_valid, total_differential
+from .bicomplex import require_valid
 
 THEORIES = ("dolbeault", "row", "bott_chern", "aeppli")
 _set = object.__setattr__
@@ -71,7 +71,8 @@ def _tables(K, theories, maps):
         if m.any():
             r = linalg.rank(m)
             for charged, spots in zip(charges.values(), spot_sets):
-                charged += [(s, r) for s in spots]
+                for s in spots:
+                    charged.append((s, r))
     return {t: Table(K.dims.minus(c), theory=t) for t, c in charges.items()}
 
 
@@ -92,7 +93,8 @@ def row_cohomology(K):
 def de_rham(K):
     """Betti numbers of the total complex with differential d_h + d_v: the
     size of each degree is read off the kept D_k, and each D_k is ranked."""
-    maps = [total_differential(K, k) for k in range(K.p_max + K.q_max + 1)]
+    require_valid(K)
+    maps = K._totals
     ranks = [linalg.rank(d) if d.any() else 0 for d in maps]
     return BettiVector(tuple([d.shape[1] - r - into for d, r, into
                               in zip(maps, ranks, [0] + ranks)]))
@@ -111,9 +113,8 @@ def _bott_chern_aeppli(K):
             composites.append((linalg.mat_mul(h, m), [u], [s]))
     out = [(ms[0] if len(ms) == 1 else linalg.vstack(ms), [s], ())
            for s, ms in outs.items()]
-    into = [(d[a:b], (), [t]) for k in range(K.p_max + K.q_max)
-            for d in [total_differential(K, k)]
-            for t, a, b in layout(K, k + 1)]
+    into = [(d[a:b], (), [t]) for d, degree in zip(K._totals, K._layout[1:])
+            for t, a, b in degree if a < b]
     return _tables(K, ["bott_chern", "aeppli"], out + composites + into)
 
 

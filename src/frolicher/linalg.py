@@ -6,15 +6,15 @@ products, assembly, stacking, transposes and row slices visit stored entries
 only; only this module calls ``Matrix._of``, which shares frozen rows.  No
 :class:`Grid`, an immutable rectangle of ints (dims and tables), is made
 unchecked: :meth:`Grid.minus`, which derives each table, checks each charge.
-One fraction-free eliminator (:func:`._kernels.eliminate`) reads the
-stored rows, so results are exact and nothing overflows.  It reduces
+One fraction-free reduction loop (:func:`._kernels.reduce_rows`) reads
+the stored rows, so results are exact and nothing overflows.  It reduces
 forward only, and the pivots of that echelon form are those of every
 echelon form, so ranks need nothing more; every command reads ranks only.
 :func:`nullspace`, kept as library API, back-substitutes the forward rows
-itself.  The input row behind each pivot is the rank profile, ``rank(a,
-profile=True)``, the filtration pages' persistence pairing.  Reports,
-parameters and tables are each a :class:`Record`, immutable in the same
-way.
+that :func:`._kernels.eliminate` lists.  The input row behind each pivot
+is the rank profile, ``rank(a, profile=True)``, the filtration pages'
+persistence pairing.  Reports, parameters and tables are each a
+:class:`Record`, immutable in the same way.
 """
 
 from fractions import Fraction
@@ -24,7 +24,7 @@ from numbers import Integral
 from operator import index
 from types import MappingProxyType
 
-from ._kernels import _clear, eliminate
+from ._kernels import _clear, eliminate, reduce_rows
 
 _EMPTY = MappingProxyType({})
 _set = object.__setattr__
@@ -119,8 +119,8 @@ class Grid(_Immutable):
     __slots__ = ("shape", "_cells")
 
     def __init__(self, cells):
-        cells = tuple([tuple([index(x) for x in row]) for row in cells])
-        widths = {len(row) for row in cells}
+        cells = tuple([tuple(map(index, row)) for row in cells])
+        widths = set(map(len, cells))
         if len(widths) > 1:
             raise ValueError("grid rows differ in length")
         _set(self, "_cells", cells)
@@ -239,11 +239,16 @@ def mat_mul(a, b):
     brows = b.rows
     out = []
     for row in a.rows:
+        if not row:
+            out.append(row)
+            continue
         acc = {}
         for k, x in row.items():
             for j, y in brows[k].items():
                 acc[j] = acc.get(j, 0) + x * y
-        out.append({j: v for j, v in acc.items() if v})
+        # Only a cancelled entry is copied out: most rows are kept as built.
+        out.append({j: v for j, v in acc.items() if v}
+                   if 0 in acc.values() else acc)
     return Matrix((a.shape[0], b.shape[1]), out)
 
 
@@ -288,12 +293,15 @@ def rank(a, profile=False):
     column)`` pair per pivot, ordered by column, where ``row`` is the first
     row at which the leading rows of ``a`` gain a pivot in ``column``.
     ``rank(a[:i, :j])`` is the number of pairs with ``row < i`` and
-    ``column < j``.
+    ``column < j``.  The rank counts the pivots that
+    :func:`._kernels.reduce_rows` found, and the profile lists their
+    origins by column: no echelon list is built, and a plain rank sorts
+    nothing.
     """
-    pivots, _, origins = eliminate(a.rows)
+    origin = reduce_rows(a.rows)[1]
     if profile:
-        return list(zip(origins, pivots))
-    return len(pivots)
+        return [(origin[c], c) for c in sorted(origin)]
+    return len(origin)
 
 
 def nullspace(a):

@@ -186,8 +186,8 @@ def _orbit(dots):
                            for kind in ("dual", "conj", "conj_dual"))})
 
 
-# Each family's count and sorted orbit; the orbits depend on GRID only.
-_ORBITS = [(count, _orbit(dots)) for _name, dots, count in FAMILIES]
+# Each family's sorted orbit, in family order; it depends on GRID only.
+_ORBITS = [_orbit(dots) for _name, dots, _count in FAMILIES]
 
 
 def _admissible(d, assume_a0=False):
@@ -204,13 +204,15 @@ def _require_admissible(d):
 
 def model_multiset(d):
     """Zigzag multiset of the model: family orbits at the family counts."""
-    _require_admissible(d)
-    out = Counter()
-    for count, orbit in _ORBITS:
-        mult = count(d)
+    counts = family_counts(d).values()
+    if min(counts) < 0:
+        raise InadmissibleParamsError(check_constraints(d))
+    out = {}
+    for orbit, mult in zip(_ORBITS, counts):
         if mult:
-            out.update(dict.fromkeys(orbit, mult))
-    return out
+            for shape in orbit:
+                out[shape] = out.get(shape, 0) + mult
+    return Counter(out)
 
 
 def realize_model(d):
@@ -243,17 +245,17 @@ def predicted_tables(d):
                [a, b, 0, 0],
                [0, b, a, 1]])
     e3 = Grid([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
-    bc = Grid([[1, 0, d.h20, 0],
-               [0, 2 * d.h01, h21bc, d.h02],
-               [d.h20, h21bc, 2 * h21bc - 2 * d.h01 + 2, d.h02 + 1 + d.h20],
-               [0, d.h02, d.h02 + 1 + d.h20, 1]])
-    ae = Grid([[bc[3 - q, 3 - p] for q in range(4)] for p in range(4)])
+    bc = [[1, 0, d.h20, 0],
+          [0, 2 * d.h01, h21bc, d.h02],
+          [d.h20, h21bc, 2 * h21bc - 2 * d.h01 + 2, d.h02 + 1 + d.h20],
+          [0, d.h02, d.h02 + 1 + d.h20, 1]]
+    ae = [[bc[3 - q][3 - p] for q in range(4)] for p in range(4)]
     return PredictedTables(
         e1=Table(e1, r=1),
         e2=Table(e2, r=2),
         e3plus=Table(e3, r=3),
-        bott_chern=Table(bc, theory="bott_chern"),
-        aeppli=Table(ae, theory="aeppli"),
+        bott_chern=Table(Grid(bc), theory="bott_chern"),
+        aeppli=Table(Grid(ae), theory="aeppli"),
         betti=BettiVector((1, 0, 0, 0, 0, 0, 1)),
     )
 

@@ -52,8 +52,7 @@ explicit method solves nothing after it, a bound on its work, not a fact.
 """
 
 from . import linalg
-from .bicomplex import (basis_spots, layout, require_valid,
-                        total_differential)
+from .bicomplex import layout, require_valid, total_differential
 from .cohomology import Table
 
 
@@ -73,19 +72,19 @@ def _bars(K):
 
     Returns ``(birth, death)`` spot pairs: the row of D_k at ``birth``,
     reduced bottom-up, leads at the column at ``death``.  The bar length is
-    ``birth[0] - death[0]``.
+    ``birth[0] - death[0]``.  Each degree's basis spots are read once from
+    the kept layout, and each D_k once from the kept totals.
     """
     bars = []
-    tgt = basis_spots(K, 0)
-    for k in range(K.p_max + K.q_max):
-        src, tgt = tgt, basis_spots(K, k + 1)
+    tgt = [s for s, a, b in K._layout[0] for _ in range(b - a)]
+    for d, degree in zip(K._totals, K._layout[1:]):
+        src, tgt = tgt, [s for s, a, b in degree for _ in range(b - a)]
         # Both bases run in filtration order (p descending), so row j of
         # the reversed D_k is the (-1 - j)-th basis vector of degree k + 1,
         # and its leading column is the one it is paired with.
-        d = total_differential(K, k)[::-1]
         if d.any():
             bars += [(tgt[-1 - j], src[c])
-                     for j, c in linalg.rank(d, profile=True)]
+                     for j, c in linalg.rank(d[::-1], profile=True)]
     return bars
 
 

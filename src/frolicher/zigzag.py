@@ -17,7 +17,7 @@ language: they contribute nothing to any cohomology table.
 from functools import total_ordering
 
 from . import linalg
-from .bicomplex import _from_arrows
+from .bicomplex import DoubleComplex
 from .cohomology import _bott_chern_aeppli, de_rham, dolbeault, row_cohomology
 from .spectral import pages_filtration, stable_page_index
 
@@ -99,35 +99,46 @@ def synthesize(multiset, grid):
     the synthesized complex is identical across runs; the result equals the
     fold of :func:`.bicomplex.direct_sum` over the same sequence.  Every
     dot is checked against the grid, even of a shape of multiplicity 0.
+
+    The copies of a shape take the next free coordinates at each of its
+    dots, one consecutive range per dot, so each arrow maps the range at its
+    source onto the range at its target.  Each arrow keeps these as runs
+    ``(target start, source start, count)``, and each row of its matrix is
+    written once, ``{source: 1}``, straight from its run.
     """
     p_max, q_max = grid
-    if any(mult < 0 for mult in multiset.values()):
+    if min(multiset.values(), default=0) < 0:
         raise ValueError("negative multiplicity")
-    # The copies of a shape take the next free coordinates at each of its
-    # dots, one consecutive range per dot, so each arrow maps the range at
-    # its source onto the range at its target: a 1 at (target coordinate,
-    # source coordinate) per copy.
     used = {}
-    ones = {}
-    for shape in sorted(multiset):
-        mult = multiset[shape]
-        start = {}
-        for p, q in shape.dots:
-            if p > p_max or q > q_max:
-                raise GridError(f"dot ({p},{q}) outside grid {p_max}x{q_max}")
-            start[p, q] = used.get((p, q), 0)
-            used[p, q] = start[p, q] + mult
-        for src, dst in shape.arrows():
-            col = ones.setdefault((src, dst), {})
-            for i in range(mult):
-                col[start[dst] + i] = start[src] + i
+    runs = {}
+    for shape, mult in sorted(multiset.items(), key=lambda kv: kv[0].dots):
+        starts = []
+        for dot in shape.dots:
+            if dot[0] > p_max or dot[1] > q_max:
+                raise GridError(f"dot ({dot[0]},{dot[1]}) outside grid "
+                                f"{p_max}x{q_max}")
+            start = used.get(dot, 0)
+            starts.append((dot, start))
+            used[dot] = start + mult
+        if not mult:
+            continue
+        # Each step of a shape is one arrow, from its lower dot to its
+        # higher one.
+        for (a, i), (b, j) in zip(starts, starts[1:]):
+            if sum(b) < sum(a):
+                a, i, b, j = b, j, a, i
+            runs.setdefault((a, b), []).append((j, i, mult))
     dims = [[used.get((p, q), 0) for q in range(q_max + 1)]
             for p in range(p_max + 1)]
-    return _from_arrows(p_max, q_max, dims, {
-        (src, dst): linalg.Matrix((used[dst], used[src]),
-                                  [{col[i]: 1} if i in col else {}
-                                   for i in range(used[dst])])
-        for (src, dst), col in ones.items()})
+    horiz, vert = {}, {}
+    for (src, dst), arrow_runs in runs.items():
+        rows = [{}] * used[dst]
+        for t, s, n in arrow_runs:
+            for i in range(n):
+                rows[t + i] = {s + i: 1}
+        maps = vert if src[0] == dst[0] else horiz
+        maps[src] = linalg.Matrix((used[dst], used[src]), rows)
+    return DoubleComplex(p_max, q_max, dims, horiz, vert)
 
 
 def mirror_shape(shape, kind, grid):

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from frolicher import linalg
 from frolicher.linalg import Grid
 from frolicher.bicomplex import (DoubleComplex, Violation, direct_sum,
-                                 empty_complex, total_differential)
+                                 empty_complex, layout, total_differential)
 from frolicher.s6 import enumerate_diamonds, realize_model
 from frolicher.zigzag import canonicalize_shape, realize_shape, synthesize
 
@@ -169,6 +169,24 @@ def chain_slice_faults(K, p, q, r, rows):
             for row in rows] != system.tolist():
         faults.append("system")
     return faults
+
+
+def ref_total(K, k):
+    """D_k as dense rows, from ``K.arrow`` and the layout alone: the block
+    at the rows of a spot t of degree k + 1 and the columns of a spot s of
+    degree k is the stored arrow s -> t, or zero when none is stored."""
+    cols = layout(K, k)
+    width = sum(b - a for _, a, b in cols)
+    out = []
+    for t, a, b in layout(K, k + 1):
+        blocks = [(c, K.arrow(s, t).tolist()) for s, c, _ in cols
+                  if K.arrow(s, t) is not None]
+        for i in range(b - a):
+            row = [0] * width
+            for c, dense in blocks:
+                row[c:c + len(dense[i])] = dense[i]
+            out.append(row)
+    return out
 
 
 def ref_bars(K):

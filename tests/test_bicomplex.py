@@ -12,12 +12,13 @@ from frolicher.bicomplex import (DoubleComplex, InvalidComplexError,
 from frolicher.cohomology import (aeppli, arithmetic_genus, bott_chern,
                                   de_rham, dolbeault, row_cohomology)
 from frolicher.s6 import (DiamondParams, check_constraints,
-                          enumerate_diamonds, verify_model)
+                          enumerate_diamonds, realize_model, verify_model)
 from frolicher.serialize import complex_to_json
 from frolicher.spectral import (degeneration_page, pages_explicit,
                                 pages_filtration, stable_page_index)
 from frolicher.zigzag import canonicalize_shape, realize_shape
-from genutil import dh, dv, random_complex, ref_validate, square_complex
+from genutil import (dh, dv, random_complex, ref_total, ref_validate,
+                     square_complex)
 
 ONE = linalg.from_rows(1, 1, [[1]])
 
@@ -163,6 +164,38 @@ def test_validate_multiplies_once_per_degree(monkeypatch):
         assert validate(built) == []
         require_valid(built)
         assert calls == []
+
+
+def test_total_differentials_match_the_dense_reference(complexes=None):
+    # Each D_k against genutil.ref_total, which lays the stored arrows out
+    # densely, on seeded random complexes and the 316 bound-3 models.  The
+    # layout it reads is checked first: consecutive blocks, p descending,
+    # each as wide as K.dim says.
+    if complexes is None:
+        rng = random.Random(53)
+        complexes = [*(random_complex(rng, *grid, n_squares=2,
+                                      rational=(i % 3 == 0))
+                       for i, grid in enumerate([(3, 3), (2, 4), (4, 2)] * 20)),
+                     *map(realize_model, enumerate_diamonds(3))]
+    for K in complexes:
+        for k in range(K.p_max + K.q_max + 2):
+            spots = [(p, k - p) for p in range(K.p_max, -1, -1)
+                     if 0 <= k - p <= K.q_max]
+            ends = [0, *(b for _, _, b in layout(K, k))]
+            assert [(s, a) for s, a, _ in layout(K, k)] == list(
+                zip(spots, ends))
+            assert [b - a for a, b in zip(ends, ends[1:])] == [
+                K.dim(*s) for s in spots]
+        for k in range(K.p_max + K.q_max + 1):
+            assert total_differential(K, k).tolist() == ref_total(K, k)
+
+
+@pytest.mark.wide
+def test_total_differentials_match_the_dense_reference_wide(
+        wide_suite, dense_bound3_models):
+    assert len(wide_suite) == 2000 and len(dense_bound3_models) == 316
+    test_total_differentials_match_the_dense_reference(
+        wide_suite + dense_bound3_models)
 
 
 def test_validated_total_differentials_are_reused():

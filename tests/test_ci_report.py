@@ -33,6 +33,8 @@ def test_small(n):
 # The wide case of each oracle test: what `pytest -m wide` must select, and
 # the default configuration must deselect.
 WIDE_CASES = {
+    "tests/test_bicomplex.py::"
+    "test_total_differentials_match_the_dense_reference_wide",
     "tests/test_bicomplex_properties.py::"
     "test_validate_matches_the_per_spot_reference_wide",
     "tests/test_linalg.py::test_nullspace_is_the_documented_basis[wide]",

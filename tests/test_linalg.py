@@ -210,6 +210,28 @@ def test_eliminate_ignores_the_scale_of_each_row(seed):
     assert hits >= 20
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_profile_and_echelon_come_from_one_loop(seed):
+    # Seeded int and Fraction matrices, zero and repeated rows among them,
+    # each under a permutation of its rows: the plain rank, the profile and
+    # the echelon lists come from the one reduction loop, so they agree,
+    # and the rank is the reference rank whatever the row order.
+    rng = random.Random(seed + 700)
+    for i in range(40):
+        r, c = rng.randint(1, 8), rng.randint(1, 7)
+        make = random_fraction_matrix if i % 2 else random_int_matrix
+        e = make(rng, r, c).tolist()
+        e[rng.randrange(r)] = [0] * c
+        e[rng.randrange(r)] = list(e[rng.randrange(r)])
+        for _ in range(3):
+            rng.shuffle(e)
+            a = linalg.from_rows(r, c, e)
+            pivots, _, origins = _kernels.eliminate(a.rows)
+            profile = linalg.rank(a, profile=True)
+            assert linalg.rank(a) == ref_rank(a) == len(profile)
+            assert profile == list(zip(origins, pivots))
+
+
 def test_big_entries_use_object_path():
     m = linalg.from_rows(2, 3, [[2 ** 40, 1, 2 ** 41], [3, 2 ** 45, 7]])
     assert m.dtype == object

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from frolicher import s6
+from frolicher import _kernels, linalg, s6
 from frolicher.bicomplex import dual, validate
 from frolicher.cohomology import BettiVector, Table, dolbeault
 from frolicher.linalg import Grid
@@ -312,6 +312,31 @@ def test_verify_model_samples_wide():
     diamonds = enumerate_diamonds(4)
     assert len(diamonds) == 925
     test_verify_model_samples(diamonds)
+
+
+def test_the_bound3_pass_does_fixed_work(monkeypatch):
+    # The 316 bound-3 verifies make 8,536 calls of the reduction loop and
+    # 2,578 products: every rank, check and composite, counted, so a
+    # speed-up that changes the work fails here.
+    reductions, products = [], []
+    reduce_rows, mat_mul = _kernels.reduce_rows, linalg.mat_mul
+
+    def counted_reduce(rows):
+        reductions.append(1)
+        return reduce_rows(rows)
+
+    def counted_mul(a, b):
+        products.append(1)
+        return mat_mul(a, b)
+
+    for module in (_kernels, linalg):
+        monkeypatch.setattr(module, "reduce_rows", counted_reduce)
+    monkeypatch.setattr(linalg, "mat_mul", counted_mul)
+    diamonds = enumerate_diamonds(3)
+    for d in diamonds:
+        assert verify_model(d) == []
+    assert len(diamonds) == 316
+    assert (len(reductions), len(products)) == (8536, 2578)
 
 
 def test_model_tables_do_not_depend_on_the_basis():
