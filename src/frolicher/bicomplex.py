@@ -219,8 +219,7 @@ def _check(K, misfits):
             continue
         square = linalg.mat_mul(totals[k + 1], totals[k])
         if square.any():
-            src, tgt = ([s for s, a, b in degrees[d] for _ in range(b - a)]
-                        for d in (k, k + 2))
+            src, tgt = _spots(degrees[k]), _spots(degrees[k + 2])
             broken.update((src[j], tgt[i])
                           for i, row in enumerate(square.rows) for j in row)
     blocks = []
@@ -310,9 +309,14 @@ def layout(K, k):
     return _kept(K, "_layout", k)
 
 
+def _spots(degree):
+    """The spot of each basis vector of one degree's layout."""
+    return [s for s, a, b in degree for _ in range(b - a)]
+
+
 def basis_spots(K, k):
     """The spot of each basis vector of degree ``k``, in decreasing ``p``."""
-    return [s for s, a, b in layout(K, k) for _ in range(b - a)]
+    return _spots(layout(K, k))
 
 
 def total_differential(K, k):
@@ -326,3 +330,10 @@ def total_differential(K, k):
     """
     return _kept(K, "_totals", k)
 
+
+def _kept_degrees(K):
+    """``(layouts, totals)``: the :func:`layout` of every degree and every
+    :func:`total_differential`, read once each from what the constructor
+    kept.  An invalid ``K`` raises :class:`InvalidComplexError`."""
+    require_valid(K)
+    return K._layout, K._totals

@@ -28,7 +28,7 @@ No matrix is assembled to be ranked, here or by either method of
 """
 
 from . import linalg
-from .bicomplex import require_valid
+from .bicomplex import _kept_degrees, require_valid
 
 THEORIES = ("dolbeault", "row", "bott_chern", "aeppli")
 _set = object.__setattr__
@@ -93,8 +93,7 @@ def row_cohomology(K):
 def de_rham(K):
     """Betti numbers of the total complex with differential d_h + d_v: the
     size of each degree is read off the kept D_k, and each D_k is ranked."""
-    require_valid(K)
-    maps = K._totals
+    maps = _kept_degrees(K)[1]
     ranks = [linalg.rank(d) if d.any() else 0 for d in maps]
     return BettiVector(tuple([d.shape[1] - r - into for d, r, into
                               in zip(maps, ranks, [0] + ranks)]))
@@ -103,7 +102,7 @@ def de_rham(K):
 def _bott_chern_aeppli(K):
     """Both tables, by name, from one walk of the arrow table, which forms
     each composite d_h d_v once; the maps are the module docstring's."""
-    require_valid(K)
+    layouts, totals = _kept_degrees(K)
     outs, composites = {}, []
     for (s, t), m in K.stored_maps():
         outs.setdefault(s, []).append(m)
@@ -113,7 +112,7 @@ def _bott_chern_aeppli(K):
             composites.append((linalg.mat_mul(h, m), [u], [s]))
     out = [(ms[0] if len(ms) == 1 else linalg.vstack(ms), [s], ())
            for s, ms in outs.items()]
-    into = [(d[a:b], (), [t]) for d, degree in zip(K._totals, K._layout[1:])
+    into = [(d[a:b], (), [t]) for d, degree in zip(totals, layouts[1:])
             for t, a, b in degree if a < b]
     return _tables(K, ["bott_chern", "aeppli"], out + composites + into)
 

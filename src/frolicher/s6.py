@@ -197,18 +197,18 @@ def _admissible(d, assume_a0=False):
 
 
 def _require_admissible(d):
-    """Raise, with the catalog report, unless :func:`_admissible`."""
-    if not _admissible(d):
+    """The :func:`family_counts` of ``d``; raises, with the catalog report,
+    unless :func:`_admissible`."""
+    counts = family_counts(d)
+    if min(counts.values()) < 0:
         raise InadmissibleParamsError(check_constraints(d))
+    return counts
 
 
 def model_multiset(d):
     """Zigzag multiset of the model: family orbits at the family counts."""
-    counts = family_counts(d).values()
-    if min(counts) < 0:
-        raise InadmissibleParamsError(check_constraints(d))
     out = {}
-    for orbit, mult in zip(_ORBITS, counts):
+    for orbit, mult in zip(_ORBITS, _require_admissible(d).values()):
         if mult:
             for shape in orbit:
                 out[shape] = out.get(shape, 0) + mult

@@ -52,7 +52,8 @@ explicit method solves nothing after it, a bound on its work, not a fact.
 """
 
 from . import linalg
-from .bicomplex import layout, require_valid, total_differential
+from .bicomplex import (_kept_degrees, _spots, layout, require_valid,
+                        total_differential)
 from .cohomology import Table
 
 
@@ -76,9 +77,10 @@ def _bars(K):
     the kept layout, and each D_k once from the kept totals.
     """
     bars = []
-    tgt = [s for s, a, b in K._layout[0] for _ in range(b - a)]
-    for d, degree in zip(K._totals, K._layout[1:]):
-        src, tgt = tgt, [s for s, a, b in degree for _ in range(b - a)]
+    layouts, totals = _kept_degrees(K)
+    tgt = _spots(layouts[0])
+    for d, degree in zip(totals, layouts[1:]):
+        src, tgt = tgt, _spots(degree)
         # Both bases run in filtration order (p descending), so row j of
         # the reversed D_k is the (-1 - j)-th basis vector of degree k + 1,
         # and its leading column is the one it is paired with.

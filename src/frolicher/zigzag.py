@@ -49,14 +49,6 @@ class ZigzagShape(linalg.Record):
     def __str__(self):
         return ",".join(f"({p},{q})" for p, q in self.dots)
 
-    def arrows(self):
-        """Implied arrows as ``(source, target)`` pairs of dots.
-
-        Each arrow points from the lower dot to the higher dot of its step.
-        """
-        return [(a, b) if sum(b) > sum(a) else (b, a)
-                for a, b in zip(self.dots, self.dots[1:])]
-
 
 def canonicalize_shape(dots):
     """Validate a dot list and return the canonically oriented shape."""
